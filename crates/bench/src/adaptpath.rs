@@ -15,10 +15,10 @@
 //!   inline cost-model re-planning on the critical path, serializing
 //!   all dispatchers.
 //! * `concurrent` — the refactored core: dispatchers call
-//!   [`ServingCore::process_batch`] directly, which executes inline on
-//!   the calling thread under a wait-free epoch-stamped config load,
-//!   stripes its profiling into per-lane atomics, and leaves
-//!   re-planning to a background controller thread.
+//!   [`ServingCore::process_batch`] directly, which serves inline on
+//!   the calling thread through the fused serve pass, stripes its
+//!   profiling into per-lane atomics, and leaves the cost model to a
+//!   background controller thread.
 //!
 //! The acceptance metric is the concurrent/locked throughput ratio at
 //! 4 dispatchers (mean over repeats' best runs). The harness also

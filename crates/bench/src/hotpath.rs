@@ -423,13 +423,15 @@ pub fn run_vectorized_batch(
 ) -> Vec<Response> {
     let mut batch = Batch::new(queries, config);
     let n = batch.len();
-    let mut usage = tasks::run_mm(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_insert(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_delete(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_index_search(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_kc(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_rd(ctx, engine, &mut batch, 0..n);
-    usage += tasks::run_wr(ctx, &mut batch, 0..n);
+    let usage = ctx.price(|a| {
+        tasks::run_mm(a, engine, &mut batch, 0..n);
+        tasks::run_index_insert(a, engine, &mut batch, 0..n);
+        tasks::run_index_delete(a, engine, &mut batch, 0..n);
+        tasks::run_index_search(a, engine, &mut batch, 0..n);
+        tasks::run_kc(a, engine, &mut batch, 0..n);
+        tasks::run_rd(a, engine, &mut batch, 0..n);
+        tasks::run_wr(a, &mut batch, 0..n);
+    });
     std::hint::black_box(usage);
     batch.take_responses()
 }

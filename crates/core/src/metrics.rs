@@ -19,7 +19,8 @@ pub struct Metrics {
     pub hits: u64,
     /// GET queries issued.
     pub gets: u64,
-    /// Virtual time spent processing, ns.
+    /// Time spent processing, ns: virtual time on the simulator, wall
+    /// time on the serving core.
     pub busy_ns: f64,
     /// Cost-model runs.
     pub model_runs: u64,
@@ -128,6 +129,7 @@ pub struct Metrics {
     /// replaced wholesale by each sweep tick's snapshot.
     pub class_gauges: Vec<ClassStats>,
     /// Batches executed per configuration (display string → count).
+    /// Simulator only: the serving core executes no configuration.
     pub config_histogram: BTreeMap<String, u64>,
 }
 

@@ -7,20 +7,22 @@
 //! the same Figure-7 architecture:
 //!
 //! * **Data plane** — N network dispatchers concurrently call
-//!   [`ServingCore::process_batch`]. Each call folds the batch into its
-//!   lane's striped accumulators ([`StripedStats`]), loads the owning
-//!   shard's active configuration wait-free from an epoch-stamped
-//!   [`ConfigCell`], and executes the batch inline on the calling thread
-//!   over the [`ShardedEngine`]. No global lock anywhere on this path.
+//!   [`ServingCore::process_batch`]. Each call folds the batch and its
+//!   hit and busy-time counters into its lane's striped accumulators
+//!   ([`StripedStats`]) and serves the batch on the calling thread
+//!   through [`ShardedEngine::serve_batch`]: one fused pass of every
+//!   task per shard, with no stage plan, no cost accounting and no
+//!   cache filter. No global lock anywhere on this path.
 //! * **Control plane** — a background controller thread
 //!   ([`ServingCore::spawn_controller`] / [`ServingCore::controller_tick`])
 //!   periodically folds the stripes, diffs against the previous fold to
 //!   get an interval workload profile, and runs it through the *same*
 //!   [`WorkloadProfiler`] smoothing + 10 %-drift hysteresis as the
 //!   sequential system. On drift it runs the cost model once per shard
-//!   (per-shard key counts and index depths differ) and publishes any
-//!   changed configuration with an epoch bump, which dispatchers pick up
-//!   on their next batch.
+//!   (per-shard key counts and index depths differ) and records each
+//!   shard's decision. The decision is advisory: it reports the pipeline
+//!   the coupled APU would run for this workload now
+//!   ([`ServingCore::configs`]), and the host data path does not read it.
 //!
 //! With one shard and one controller tick per batch, the decision
 //! sequence matches the sequential [`DidoSystem`](crate::DidoSystem)
@@ -35,11 +37,11 @@ use crate::striped::{MemoryFold, StatsFold, StripedStats};
 use crate::system::DidoOptions;
 use dido_cost_model::{CostModel, ModelInputs};
 use dido_kvstore::HEADER_SIZE;
-use dido_model::{ConfigCell, PipelineConfig, Query, QueryOp, Response, ResponseStatus};
+use dido_model::{PipelineConfig, Query, QueryOp, Response, ResponseStatus};
 use dido_net::NetStatsSnapshot;
 use dido_pipeline::{EngineConfig, ResizeError, RunOptions, ShardedEngine};
 use dido_workload::{key_bytes, value_bytes, WorkloadGen, WorkloadSpec};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,6 +67,12 @@ struct ControlState {
     last_fold: StatsFold,
     adaptions: usize,
     model_runs: usize,
+    /// The cost model's latest decision per shard of the current
+    /// topology. Reported, never executed.
+    decisions: Vec<PipelineConfig>,
+    /// Per-shard cache sizing for the current topology (a cost-model
+    /// input); recomputed on resize.
+    caches: (u64, u64),
 }
 
 /// The concurrent adaptive serving core (data plane + control plane).
@@ -72,21 +80,15 @@ pub struct ServingCore {
     engine: Arc<ShardedEngine>,
     model: CostModel,
     options: DidoOptions,
-    /// Per-shard cache sizing for the *current* topology; recomputed on
-    /// resize. Guarded together with `configs` (same write sites).
-    caches: RwLock<(u64, u64)>,
     stripes: StripedStats,
-    /// One epoch-stamped active configuration per shard. The vector is
-    /// swapped wholesale on resize; dispatchers clone the `Arc` once
-    /// per batch and fall back to shard 0's cell for any shard index
-    /// beyond the vector (an in-flight batch racing a shrink).
-    configs: RwLock<Arc<Vec<ConfigCell>>>,
     /// Pending shard-count request from the admin path, consumed by the
     /// controller loop (0 = none).
     resize_request: AtomicUsize,
     /// The in-flight background migration worker, if any.
     resize_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     control: Mutex<ControlState>,
+    /// Control-plane and front-end metrics; the per-batch counters live
+    /// in `stripes` and are folded in by [`ServingCore::metrics`].
     metrics: Mutex<Metrics>,
 }
 
@@ -144,13 +146,7 @@ impl ServingCore {
         let (cpu_cache, gpu_cache) = Self::scaled_caches(&options, shards);
         ServingCore {
             model: CostModel::new(options.hw),
-            caches: RwLock::new((cpu_cache, gpu_cache)),
             stripes: StripedStats::new(lanes, options.profiler),
-            configs: RwLock::new(Arc::new(
-                (0..shards)
-                    .map(|_| ConfigCell::new(PipelineConfig::mega_kv()))
-                    .collect(),
-            )),
             resize_request: AtomicUsize::new(0),
             resize_worker: Mutex::new(None),
             control: Mutex::new(ControlState {
@@ -158,6 +154,8 @@ impl ServingCore {
                 last_fold: StatsFold::default(),
                 adaptions: 0,
                 model_runs: 0,
+                decisions: vec![PipelineConfig::mega_kv(); shards],
+                caches: (cpu_cache, gpu_cache),
             }),
             metrics: Mutex::new(Metrics::default()),
             engine: Arc::new(engine),
@@ -203,24 +201,20 @@ impl ServingCore {
         self.stripes.lanes()
     }
 
-    /// The active configuration and epoch of `shard`.
+    /// The cost model's current decision for `shard`, with the epoch of
+    /// the shard map whose topology numbers the shards.
     #[must_use]
     pub fn shard_config(&self, shard: usize) -> (PipelineConfig, u32) {
-        self.configs.read()[shard].load()
+        let decision = self.control.lock().decisions[shard];
+        (decision, self.engine.shard_map().load().1)
     }
 
-    /// Snapshot of every shard's active configuration.
+    /// Every shard's current cost-model decision: the pipeline the
+    /// coupled APU would run for this shard's workload now. Advisory;
+    /// the host data path does not read it.
     #[must_use]
     pub fn configs(&self) -> Vec<PipelineConfig> {
-        self.configs.read().iter().map(|c| c.load().0).collect()
-    }
-
-    /// Pin every shard to `config` (the controller may re-adapt away on
-    /// the next drift; combine with a paused controller to pin hard).
-    pub fn set_config(&self, config: PipelineConfig) {
-        for cell in self.configs.read().iter() {
-            cell.publish(config);
-        }
+        self.control.lock().decisions.clone()
     }
 
     /// Total configuration changes published by the control plane.
@@ -241,11 +235,19 @@ impl ServingCore {
         self.control.lock().profiler.force_readapt();
     }
 
-    /// Snapshot of the rolling operational metrics. Clones so callers
-    /// format/print without holding any lock.
+    /// Snapshot of the rolling operational metrics, with the batch
+    /// counters folded from the stripes. Clones so callers format/print
+    /// without holding any lock. `busy_ns` is wall time spent serving.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        self.metrics.lock().clone()
+        let mut m = self.metrics.lock().clone();
+        let fold = self.stripes.fold();
+        m.batches = fold.batches;
+        m.queries = fold.queries;
+        m.gets = fold.gets;
+        m.hits = fold.hits;
+        m.busy_ns = fold.busy_ns as f64;
+        m
     }
 
     /// Fold a network front-end delta into the node metrics.
@@ -280,38 +282,19 @@ impl ServingCore {
         self.engine.execute(q)
     }
 
-    /// Process one batch on dispatcher lane `lane`. Lock-free profiling,
-    /// wait-free config load, inline execution on the calling thread;
-    /// safe and intended to be called concurrently from every
-    /// dispatcher.
+    /// Process one batch on dispatcher lane `lane`: lock-free
+    /// profiling, then the fused serve pass on the calling thread. Safe
+    /// and intended to be called concurrently from every dispatcher.
     pub fn process_batch(&self, lane: usize, queries: Vec<Query>) -> Vec<Response> {
-        let n = queries.len() as u64;
-        if n == 0 {
+        if queries.is_empty() {
             return Vec::new();
         }
         self.stripes
             .observe(lane, &queries, self.engine.live_objects() as u64);
-        let mut gets = 0u64;
-        let is_get: Vec<bool> = queries
-            .iter()
-            .map(|q| {
-                let g = q.op == QueryOp::Get;
-                gets += u64::from(g);
-                g
-            })
-            .collect();
-        // One Arc clone per batch: the cells themselves stay wait-free;
-        // the RwLock is only written when a resize swaps the topology.
-        let configs = Arc::clone(&self.configs.read());
-        let shard0_config = configs[0].load().0;
+        let is_get: Vec<bool> = queries.iter().map(|q| q.op == QueryOp::Get).collect();
         let started = Instant::now();
-        let responses = self.engine.process_batch_inline(queries, |shard| {
-            // `get` fallback: a batch that raced a resize may ask for a
-            // shard index from the other topology; shard 0's config is
-            // always a valid answer.
-            configs.get(shard).unwrap_or(&configs[0]).load().0
-        });
-        let elapsed_ns = started.elapsed().as_nanos() as f64;
+        let responses = self.engine.serve_batch(queries);
+        let busy_ns = started.elapsed().as_nanos() as u64;
         let mut hits = 0u64;
         let mut hit_bytes = 0u64;
         for (r, g) in responses.iter().zip(&is_get) {
@@ -320,24 +303,22 @@ impl ServingCore {
                 hit_bytes += r.value.len() as u64;
             }
         }
-        self.stripes.record_hits(lane, hits, hit_bytes);
-        self.metrics
-            .lock()
-            .record_batch(shard0_config, n, gets, hits, elapsed_ns);
+        self.stripes.record_batch(lane, hits, hit_bytes, busy_ns);
         responses
     }
 
     /// One control-plane tick: fold the stripes, profile the interval
     /// since the previous tick, and on >10 % drift run the cost model
-    /// and publish per-shard configurations. Returns `true` if any
-    /// shard's configuration changed.
+    /// and record per-shard decisions. Returns `true` if any shard's
+    /// decision changed.
     ///
     /// Called by the background controller thread; also callable
     /// directly (tests tick once per batch to replay the sequential
     /// oracle's cadence).
     pub fn controller_tick(&self) -> bool {
         let fold = self.stripes.fold();
-        let mut ctl = self.control.lock();
+        let mut guard = self.control.lock();
+        let ctl = &mut *guard;
         let delta = fold.delta(&ctl.last_fold);
         if delta.queries == 0 {
             return false;
@@ -352,12 +333,11 @@ impl ServingCore {
         ctl.model_runs += 1;
         let interval_ns = self.stage_interval_ns();
         let mut changed = false;
-        let configs = Arc::clone(&self.configs.read());
         let engines = self.engine.primary_engines();
-        let (cpu_cache_bytes, gpu_cache_bytes) = *self.caches.read();
-        for (s, cell) in configs.iter().enumerate() {
+        let (cpu_cache_bytes, gpu_cache_bytes) = ctl.caches;
+        for (s, decision) in ctl.decisions.iter_mut().enumerate() {
             // A resize between the two snapshots can shrink the engine
-            // list; surplus cells are about to be retired anyway.
+            // list; surplus decisions are about to be retired anyway.
             let Some(shard) = engines.get(s) else { break };
             let inputs = ModelInputs {
                 stats,
@@ -373,8 +353,8 @@ impl ServingCore {
             } else {
                 self.model.optimal_config(&inputs, self.options.enumerator)
             };
-            if prediction.config != cell.load().0 {
-                cell.publish(prediction.config);
+            if prediction.config != *decision {
+                *decision = prediction.config;
                 ctl.adaptions += 1;
                 changed = true;
             }
@@ -422,8 +402,7 @@ impl ServingCore {
 
     /// Start a live resize to `n` shards: install the `Migrating` shard
     /// map (new per-shard stores sized so total capacity is preserved),
-    /// swap in a fresh per-shard config vector seeded from shard 0's
-    /// active configuration, and spawn a background worker that drains
+    /// seed every new shard's decision with shard 0's, and spawn a background worker that drains
     /// donor shards chunk by chunk and settles the map when done. The
     /// data path serves throughout; returns as soon as the migration is
     /// underway (use [`ServingCore::wait_resize`] to block on it).
@@ -434,12 +413,12 @@ impl ServingCore {
             cpu_cache,
             gpu_cache,
         );
-        let seed_config = self.configs.read()[0].load().0;
         self.engine.begin_resize(n, per_shard)?;
-        *self.configs.write() = Arc::new(
-            (0..n).map(|_| ConfigCell::new(seed_config)).collect(),
-        );
-        *self.caches.write() = (cpu_cache, gpu_cache);
+        {
+            let mut ctl = self.control.lock();
+            ctl.decisions = vec![ctl.decisions[0]; n];
+            ctl.caches = (cpu_cache, gpu_cache);
+        }
         let core = Arc::clone(self);
         let worker = std::thread::Builder::new()
             .name("dido-reshard".into())

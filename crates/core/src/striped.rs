@@ -53,6 +53,7 @@ pub struct MemoryFold {
 /// atomicity of each add).
 #[derive(Debug, Default)]
 struct Stripe {
+    batches: AtomicU64,
     queries: AtomicU64,
     gets: AtomicU64,
     deletes: AtomicU64,
@@ -60,6 +61,7 @@ struct Stripe {
     set_value_bytes: AtomicU64,
     hits: AtomicU64,
     hit_value_bytes: AtomicU64,
+    busy_ns: AtomicU64,
     skew: Mutex<SkewWindow>,
 }
 
@@ -79,6 +81,8 @@ struct SkewWindow {
 /// [`StatsFold::workload_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsFold {
+    /// Batches served.
+    pub batches: u64,
     /// Queries observed.
     pub queries: u64,
     /// GET queries observed.
@@ -93,6 +97,9 @@ pub struct StatsFold {
     pub hits: u64,
     /// Total value bytes returned by those hits.
     pub hit_value_bytes: u64,
+    /// Time spent serving batches, ns, as the owning system measures
+    /// it: wall time on the serving core, virtual time on the simulator.
+    pub busy_ns: u64,
 }
 
 impl StatsFold {
@@ -101,6 +108,7 @@ impl StatsFold {
     #[must_use]
     pub fn delta(&self, earlier: &StatsFold) -> StatsFold {
         StatsFold {
+            batches: self.batches - earlier.batches,
             queries: self.queries - earlier.queries,
             gets: self.gets - earlier.gets,
             deletes: self.deletes - earlier.deletes,
@@ -108,6 +116,7 @@ impl StatsFold {
             set_value_bytes: self.set_value_bytes - earlier.set_value_bytes,
             hits: self.hits - earlier.hits,
             hit_value_bytes: self.hit_value_bytes - earlier.hit_value_bytes,
+            busy_ns: self.busy_ns - earlier.busy_ns,
         }
     }
 
@@ -207,11 +216,14 @@ impl StripedStats {
         }
     }
 
-    /// Fold a batch's GET-hit outcome into `lane`'s stripe.
-    pub fn record_hits(&self, lane: usize, hits: u64, hit_value_bytes: u64) {
+    /// Fold a served batch's GET-hit outcome and serving time into
+    /// `lane`'s stripe.
+    pub fn record_batch(&self, lane: usize, hits: u64, hit_value_bytes: u64, busy_ns: u64) {
         let stripe = &self.stripes[lane % self.stripes.len()];
+        stripe.batches.fetch_add(1, Ordering::Relaxed);
         stripe.hits.fetch_add(hits, Ordering::Relaxed);
         stripe.hit_value_bytes.fetch_add(hit_value_bytes, Ordering::Relaxed);
+        stripe.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
     }
 
     /// Latest completed-window skew estimate (0 until a window fills).
@@ -236,6 +248,7 @@ impl StripedStats {
     pub fn fold(&self) -> StatsFold {
         let mut f = StatsFold::default();
         for s in &self.stripes {
+            f.batches += s.batches.load(Ordering::Relaxed);
             f.queries += s.queries.load(Ordering::Relaxed);
             f.gets += s.gets.load(Ordering::Relaxed);
             f.deletes += s.deletes.load(Ordering::Relaxed);
@@ -243,6 +256,7 @@ impl StripedStats {
             f.set_value_bytes += s.set_value_bytes.load(Ordering::Relaxed);
             f.hits += s.hits.load(Ordering::Relaxed);
             f.hit_value_bytes += s.hit_value_bytes.load(Ordering::Relaxed);
+            f.busy_ns += s.busy_ns.load(Ordering::Relaxed);
         }
         f
     }
@@ -263,8 +277,10 @@ mod tests {
         let b = g.batch(500);
         s.observe(0, &a, 10_000);
         s.observe(1, &b, 10_000);
-        s.record_hits(1, 42, 42 * 64);
+        s.record_batch(1, 42, 42 * 64, 1_000);
         let f = s.fold();
+        assert_eq!(f.batches, 1);
+        assert_eq!(f.busy_ns, 1_000);
         assert_eq!(f.queries, 1500);
         let gets = a.iter().chain(&b).filter(|q| q.op == QueryOp::Get).count() as u64;
         assert_eq!(f.gets, gets);

@@ -301,7 +301,8 @@ impl DidoSystem {
             .filter(|r| r.status == ResponseStatus::Ok)
             .map(|r| r.value.len() as u64)
             .sum();
-        self.stripes.record_hits(lane, report.hits as u64, hit_bytes);
+        self.stripes
+            .record_batch(lane, report.hits as u64, hit_bytes, report.t_max_ns as u64);
 
         serial.profiler.note_skew(self.stripes.skew());
         let stats = serial.profiler.finish_batch(report.stats);

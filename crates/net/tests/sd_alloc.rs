@@ -40,6 +40,30 @@ fn counted() -> bool {
     COUNTING.load(Ordering::Relaxed) && AUDITED.try_with(std::cell::Cell::get).unwrap_or(false)
 }
 
+/// One audit's scope: holds [`AUDIT_LOCK`] and marks the calling thread
+/// audited. Dropping it clears the mark *before* the lock is released
+/// (`drop` runs before the guard field drops), so once the next audit
+/// takes the lock and turns counting on, this thread's later
+/// allocations — libtest reporting the finished test from it — are not
+/// counted against that audit.
+struct AuditScope {
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+impl AuditScope {
+    fn begin() -> AuditScope {
+        let lock = AUDIT_LOCK.lock().unwrap();
+        AUDITED.with(|a| a.set(true));
+        AuditScope { _lock: lock }
+    }
+}
+
+impl Drop for AuditScope {
+    fn drop(&mut self) {
+        AUDITED.with(|a| a.set(false));
+    }
+}
+
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System`, adding only a relaxed
@@ -72,8 +96,7 @@ fn steady_state_egress_cycle_does_not_allocate() {
     const WARMUP: usize = 64;
     const ITERS: usize = 1000;
     const RUNS_PER_ITER: usize = 4;
-    let _serialized = AUDIT_LOCK.lock().unwrap();
-    AUDITED.with(|a| a.set(true));
+    let _audit = AuditScope::begin();
 
     // A real socket pair: the audited side writes, a peer thread drains
     // into a preallocated buffer (no allocations on that side either
@@ -153,8 +176,7 @@ fn steady_state_uring_egress_cycle_does_not_allocate() {
         eprintln!("note: skipping uring allocation audit (kernel has no usable io_uring)");
         return;
     }
-    let _serialized = AUDIT_LOCK.lock().unwrap();
-    AUDITED.with(|a| a.set(true));
+    let _audit = AuditScope::begin();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();

@@ -23,9 +23,6 @@ pub struct QueryState {
     pub candidates: Candidates,
     /// Resolved object location (after `KC`).
     pub loc: Option<u64>,
-    /// Whether the resolved object was hot in the comparing processor's
-    /// cache filter (drives `RD` cost).
-    pub hot: bool,
     /// Newly allocated location for a SET (after `MM`).
     pub new_loc: Option<u64>,
     /// Object evicted by this SET's allocation (after `MM`); its index

@@ -2,7 +2,8 @@
 //!
 //! This crate implements the paper's eight fine-grained tasks
 //! (`RV, PP, MM, IN, KC, RD, WR, SD` — §III-A) as real functions over a
-//! [`KvEngine`] (cuckoo index + object store + NIC), and two executors:
+//! [`KvEngine`] (cuckoo index + object store + NIC), generic over what
+//! they account for ([`tasks::Account`]), and three ways to run them:
 //!
 //! * [`SimExecutor`] — deterministic virtual-time execution on the
 //!   simulated coupled CPU-GPU chip: per-stage resource accounting,
@@ -13,6 +14,10 @@
 //! * [`ThreadedPipeline`] — the same stages on real host threads wired
 //!   by channels, demonstrating the design live (including tag-based
 //!   co-processing of the GPU stage when work stealing is on).
+//! * [`tasks::serve`] — the live server's data path: one fused pass of
+//!   every task over a batch on the calling thread, with no stage plan,
+//!   no cost accounting and no cache filters.
+//!   [`ShardedEngine::serve_batch`] runs it per shard.
 //!
 //! ```
 //! use dido_apu_sim::{HwSpec, TimingEngine};

@@ -40,11 +40,11 @@
 
 use crate::engine::{EngineConfig, KvEngine, OpCounters, OpCounts};
 use crate::shardmap::{route_of, MapState, ShardMap, MAX_SHARDS};
-use crate::threaded::ThreadedPipeline;
+use crate::tasks;
 use dido_kvstore::{ClassStats, ExpiryStats};
-use dido_model::{PipelineConfig, Query, QueryOp, Response, SharedClock, SystemClock};
+use dido_model::{Query, QueryOp, Response, SharedClock, SystemClock};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Donor index buckets walked per migration chunk. At 4 slots per
@@ -345,85 +345,15 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Process one batch across all shards on real threads: the batch is
-    /// split by routing, each shard runs its own pipeline under
-    /// `config`, and responses return in the original query order.
-    ///
-    /// A bounded worker pool (`min(shards, host cores)`) claims shards
-    /// from an atomic cursor and runs each through
-    /// [`ThreadedPipeline::run_inline`] — the same epoch-guarded claim
-    /// machinery as the staged executor, without the former
-    /// shards × (stages + 2) thread explosion of spawning one full
-    /// staged pipeline per shard.
-    #[must_use]
-    pub fn process_batch(&self, queries: Vec<Query>, config: PipelineConfig) -> Vec<Response> {
-        let sets = self.sets.read();
-        if sets.donor.is_some() {
-            return Self::migrating_batch(&sets, &queries);
-        }
-        let engines = &sets.primary.engines;
-        let n = queries.len();
-        let (per_shard, positions) = Self::partition(queries, engines.len());
-        // Hand each worker ownership of its shard's queries (no clone):
-        // the pool takes the Vec out of its slot when it claims a shard.
-        let work: Vec<Mutex<Option<Vec<Query>>>> =
-            per_shard.into_iter().map(|qs| Mutex::new(Some(qs))).collect();
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .clamp(1, engines.len());
-        let next_shard = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<Response>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next_shard = &next_shard;
-                let done = &done;
-                let work = &work;
-                scope.spawn(move || loop {
-                    let s = next_shard.fetch_add(1, Ordering::Relaxed);
-                    if s >= engines.len() {
-                        break;
-                    }
-                    let Some(queries) = work[s].lock().take() else {
-                        continue;
-                    };
-                    if queries.is_empty() {
-                        continue;
-                    }
-                    let pipeline = ThreadedPipeline::new(&engines[s], config);
-                    let mut results = pipeline.run_inline(vec![queries]);
-                    done.lock().push((s, results.pop().unwrap_or_default()));
-                });
-            }
-        });
-        let mut out: Vec<Option<Response>> = vec![None; n];
-        for (s, responses) in done.into_inner() {
-            for (&pos, r) in positions[s].iter().zip(responses) {
-                out[pos as usize] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every query answered by its shard"))
-            .collect()
-    }
-
-    /// Process one batch across all shards *on the calling thread*, with
-    /// a per-shard pipeline configuration.
+    /// Serve one batch across all shards *on the calling thread*: each
+    /// shard's share runs through the fused [`tasks::serve`] pass, and
+    /// responses return in query order.
     ///
     /// This is the concurrent serving core's data path: parallelism
     /// lives across the N network dispatchers that each call this
-    /// concurrently, so spawning a worker pool per batch (as
-    /// [`ShardedEngine::process_batch`] does) would only oversubscribe
-    /// the host. Each shard's sub-batch runs through
-    /// [`ThreadedPipeline::run_inline_no_sd`] under the configuration
-    /// `config_for(shard)` — the per-shard epoch cell the adaptation
-    /// controller publishes into. Responses return in query order.
+    /// concurrently, not inside one batch.
     #[must_use]
-    pub fn process_batch_inline(
-        &self,
-        queries: Vec<Query>,
-        config_for: impl Fn(usize) -> PipelineConfig,
-    ) -> Vec<Response> {
+    pub fn serve_batch(&self, queries: Vec<Query>) -> Vec<Response> {
         let sets = self.sets.read();
         if sets.donor.is_some() {
             return Self::migrating_batch(&sets, &queries);
@@ -431,11 +361,7 @@ impl ShardedEngine {
         let engines = &sets.primary.engines;
         if engines.len() == 1 {
             // Fast path: no partitioning, no order restoration.
-            let pipeline = ThreadedPipeline::new(&engines[0], config_for(0));
-            return pipeline
-                .run_inline_no_sd(vec![queries])
-                .pop()
-                .unwrap_or_default();
+            return tasks::serve(&engines[0], queries);
         }
         let n = queries.len();
         let (per_shard, positions) = Self::partition(queries, engines.len());
@@ -444,12 +370,7 @@ impl ShardedEngine {
             if queries.is_empty() {
                 continue;
             }
-            let pipeline = ThreadedPipeline::new(&engines[s], config_for(s));
-            let responses = pipeline
-                .run_inline_no_sd(vec![queries])
-                .pop()
-                .unwrap_or_default();
-            for (&pos, r) in positions[s].iter().zip(responses) {
+            for (&pos, r) in positions[s].iter().zip(tasks::serve(&engines[s], queries)) {
                 out[pos as usize] = Some(r);
             }
         }
@@ -807,34 +728,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_processing_preserves_order_across_shards() {
-        let s = sharded(4);
-        for i in 0..500 {
-            s.execute(&Query::set(format!("batch-{i:03}"), format!("v{i:03}")));
-        }
-        let queries: Vec<Query> = (0..500).map(|i| Query::get(format!("batch-{i:03}"))).collect();
-        let responses = s.process_batch(queries, PipelineConfig::mega_kv());
-        assert_eq!(responses.len(), 500);
-        for (i, r) in responses.iter().enumerate() {
-            assert_eq!(r.status, ResponseStatus::Ok, "batch-{i}");
-            assert_eq!(r.value, format!("v{i:03}"), "order broken at {i}");
-        }
-    }
-
-    #[test]
-    fn inline_batch_preserves_order_with_per_shard_configs() {
+    fn batch_preserves_order_across_shards() {
         let s = sharded(3);
         for i in 0..400 {
             s.execute(&Query::set(format!("inl-{i:03}"), format!("w{i:03}")));
         }
         let queries: Vec<Query> = (0..400).map(|i| Query::get(format!("inl-{i:03}"))).collect();
-        // Different configs per shard must not disturb routing or order.
-        let configs = [
-            PipelineConfig::mega_kv(),
-            PipelineConfig::cpu_only(),
-            PipelineConfig::mega_kv(),
-        ];
-        let responses = s.process_batch_inline(queries, |shard| configs[shard]);
+        let responses = s.serve_batch(queries);
         assert_eq!(responses.len(), 400);
         for (i, r) in responses.iter().enumerate() {
             assert_eq!(r.status, ResponseStatus::Ok, "inl-{i}");
@@ -843,13 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn inline_single_shard_fast_path_answers() {
+    fn single_shard_fast_path_answers() {
         let s = sharded(1);
         s.execute(&Query::set("solo", "v"));
-        let responses = s.process_batch_inline(
-            vec![Query::get("solo"), Query::get("missing")],
-            |_| PipelineConfig::cpu_only(),
-        );
+        let responses = s.serve_batch(vec![Query::get("solo"), Query::get("missing")]);
         assert_eq!(responses[0].value, "v");
         assert_ne!(responses[1].status, ResponseStatus::Ok);
     }
@@ -1075,7 +972,7 @@ mod tests {
             s.execute(&Query::set(format!("oc-{i}"), "v"));
         }
         let queries: Vec<Query> = (0..300).map(|i| Query::get(format!("oc-{i}"))).collect();
-        let _ = s.process_batch_inline(queries, |_| PipelineConfig::cpu_only());
+        let _ = s.serve_batch(queries);
         let before = s.op_counts();
         assert!(before.index_searches >= 300, "{before:?}");
         s.resize_blocking(3, cfg()).unwrap();

@@ -5,9 +5,9 @@
 //! re-derived at every layer (`ShardedEngine`, the serving core's
 //! preload path, bench harnesses). [`route_of`] is now the *only* shard
 //! selection in the workspace; everything else calls it. On top of it,
-//! [`ShardMap`] is the DIDO epoch-publish pattern (the `ConfigCell` from
-//! the adaptation control plane) applied to *data placement* instead of
-//! pipeline configuration: the map state — how many shards own the key
+//! [`ShardMap`] is the DIDO epoch-publish pattern (the `ConfigCell` the
+//! simulated system loads its pipeline configuration from) applied to
+//! *data placement* instead of pipeline configuration: the map state — how many shards own the key
 //! space, and whether a resize is mid-flight — packs into one `AtomicU64`
 //! that the data path reads wait-free once per batch, while resize
 //! control flow publishes transitions with a CAS epoch bump.

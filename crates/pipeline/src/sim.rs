@@ -313,7 +313,7 @@ impl SimExecutor {
                 match t {
                     TaskKind::Rv | TaskKind::Pp => {} // done above
                     TaskKind::Mm => {
-                        let u = tasks::run_mm(ctx, engine, &mut batch, 0..n);
+                        let u = ctx.price(|a| tasks::run_mm(a, engine, &mut batch, 0..n));
                         execs[si].usage += u;
                     }
                     TaskKind::In => {
@@ -330,7 +330,7 @@ impl SimExecutor {
                                             .count()
                                 }
                             };
-                            let u = tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
+                            let u = ctx.price(|a| tasks::run_index_op(op, a, engine, &mut batch, 0..n));
                             execs[si].usage += u;
                             if gpu {
                                 execs[si].kernels.push(self.kernel(
@@ -344,7 +344,7 @@ impl SimExecutor {
                         }
                     }
                     TaskKind::Kc => {
-                        let u = tasks::run_kc(ctx, engine, &mut batch, 0..n);
+                        let u = ctx.price(|a| tasks::run_kc(a, engine, &mut batch, 0..n));
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("KC".into(), n_get, u));
@@ -356,7 +356,7 @@ impl SimExecutor {
                     TaskKind::Rd => {
                         let hits =
                             batch.state.iter().filter(|s| s.loc.is_some()).count();
-                        let u = tasks::run_rd(ctx, engine, &mut batch, 0..n);
+                        let u = ctx.price(|a| tasks::run_rd(a, engine, &mut batch, 0..n));
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("RD".into(), hits, u));
@@ -364,7 +364,7 @@ impl SimExecutor {
                         }
                     }
                     TaskKind::Wr => {
-                        let u = tasks::run_wr(ctx, &mut batch, 0..n);
+                        let u = ctx.price(|a| tasks::run_wr(a, &mut batch, 0..n));
                         execs[si].usage += u;
                         if gpu {
                             execs[si].kernels.push(self.kernel("WR".into(), n, u));
@@ -383,7 +383,7 @@ impl SimExecutor {
             // stage hosting CPU-assigned Insert/Delete, §V-C).
             if !stage.tasks.contains(TaskKind::In) {
                 for &op in &stage.index_ops {
-                    let u = tasks::run_index_op(op, ctx, engine, &mut batch, 0..n);
+                    let u = ctx.price(|a| tasks::run_index_op(op, a, engine, &mut batch, 0..n));
                     execs[si].usage += u;
                 }
             }

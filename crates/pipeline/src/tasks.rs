@@ -1,11 +1,17 @@
 //! The eight fine-grained tasks (paper §III-A), implemented as
 //! independent functions over a batch range.
 //!
-//! Each task does its work *for real* against the [`KvEngine`] and
-//! returns the [`ResourceUsage`] it incurred; the executors convert
-//! usage into virtual time per stage. Tasks take a [`StageCtx`]
-//! describing where they run, which drives the affinity and hot-set
-//! accounting (paper §III-B-1, §IV-B).
+//! Each task does its work *for real* against the [`KvEngine`]. What it
+//! records about that work is a compile-time parameter: the task bodies
+//! are generic over an [`Account`].
+//!
+//! * [`Sim`] sums the [`ResourceUsage`] a task incurred in its
+//!   [`StageCtx`] and drives the engine's per-processor cache filters
+//!   (affinity and hot-set accounting, paper §III-B-1, §IV-B). The
+//!   executors convert that usage into virtual time per stage.
+//! * [`Serve`] records nothing. [`serve`] runs every task through it:
+//!   the live server's data path, with no cost accounting and no
+//!   filter lock.
 
 use crate::batch::Batch;
 use crate::engine::KvEngine;
@@ -14,8 +20,8 @@ use dido_hashtable::{key_hash, prefetch_read, Candidates, InsertError, KeyHash, 
 use dido_kvstore::{ProbeOutcome, PurgedEntry};
 use dido_model::costs::{self, lines_for};
 use dido_model::{
-    ttl_to_deadline, IndexOpKind, Processor, Query, QueryOp, ResourceUsage, Response, TaskKind,
-    TaskSet,
+    ttl_to_deadline, IndexOpKind, PipelineConfig, Processor, Query, QueryOp, ResourceUsage,
+    Response, TaskKind, TaskSet,
 };
 use dido_net::{encode_responses, frame_query_count, parse_frame, FrameBuilder};
 use std::ops::Range;
@@ -61,6 +67,89 @@ impl StageCtx {
     fn has(&self, t: TaskKind) -> bool {
         self.stage_tasks.contains(t)
     }
+
+    /// Run `task` under [`Sim`] accounting in this context and return
+    /// the usage it incurred.
+    pub fn price(self, task: impl FnOnce(&mut Sim)) -> ResourceUsage {
+        let mut sim = Sim {
+            ctx: self,
+            usage: ResourceUsage::ZERO,
+        };
+        task(&mut sim);
+        sim.usage
+    }
+}
+
+/// What a task body records about its work (see the module docs).
+pub trait Account {
+    /// Add the usage `price` computes in the executing stage's context.
+    fn charge(&mut self, price: impl FnOnce(&StageCtx) -> ResourceUsage);
+    /// Record an access to the object at `loc` in the executing
+    /// processor's cache filter; `true` on a hit.
+    fn cache_access(&mut self, engine: &KvEngine, loc: u64) -> bool;
+    /// Forget the freed object at `loc` in the engine's cache filters.
+    fn cache_invalidate(&mut self, engine: &KvEngine, loc: u64);
+}
+
+/// Simulator accounting: per-stage usage sums plus the cache filters.
+#[derive(Debug)]
+pub struct Sim {
+    ctx: StageCtx,
+    usage: ResourceUsage,
+}
+
+impl Account for Sim {
+    fn charge(&mut self, price: impl FnOnce(&StageCtx) -> ResourceUsage) {
+        self.usage += price(&self.ctx);
+    }
+
+    fn cache_access(&mut self, engine: &KvEngine, loc: u64) -> bool {
+        let (klen, vlen) = engine.store.object_lens(loc);
+        let obj_bytes = (dido_kvstore::HEADER_SIZE + klen + vlen) as u64;
+        engine.cache_access(self.ctx.processor, loc, obj_bytes)
+    }
+
+    fn cache_invalidate(&mut self, engine: &KvEngine, loc: u64) {
+        engine.cache_invalidate(loc);
+    }
+}
+
+/// Serving accounting: records nothing, so every call compiles away.
+#[derive(Debug)]
+pub struct Serve;
+
+impl Account for Serve {
+    #[inline(always)]
+    fn charge(&mut self, _price: impl FnOnce(&StageCtx) -> ResourceUsage) {}
+
+    #[inline(always)]
+    fn cache_access(&mut self, _engine: &KvEngine, _loc: u64) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn cache_invalidate(&mut self, _engine: &KvEngine, _loc: u64) {}
+}
+
+/// The serving pass: every functional task over the whole batch on the
+/// calling thread, in the order every pipeline plan applies them
+/// (`MM` → `IN`-Insert → `IN`-Delete → `IN`-Search → `KC` → `RD` →
+/// `WR`), under [`Serve`] accounting. Returns the responses in query
+/// order.
+#[must_use]
+pub fn serve(engine: &KvEngine, queries: Vec<Query>) -> Vec<Response> {
+    // One CPU stage running every task: what this pass does.
+    let mut batch = Batch::new(queries, PipelineConfig::cpu_only());
+    let all = 0..batch.len();
+    let a = &mut Serve;
+    run_mm(a, engine, &mut batch, all.clone());
+    run_index_insert(a, engine, &mut batch, all.clone());
+    run_index_delete(a, engine, &mut batch, all.clone());
+    run_index_search(a, engine, &mut batch, all.clone());
+    run_kc(a, engine, &mut batch, all.clone());
+    run_rd(a, engine, &mut batch, all.clone());
+    run_wr(a, &mut batch, all);
+    batch.take_responses()
 }
 
 /// `RV`: drain up to `max_frames` frames from the NIC RX ring.
@@ -97,15 +186,14 @@ pub fn run_pp(frames: &[Bytes]) -> (Vec<Query>, ResourceUsage) {
 }
 
 /// `MM`: allocate (and if necessary evict) for every SET in `range`.
-pub fn run_mm(ctx: StageCtx, engine: &KvEngine, batch: &mut Batch, range: Range<usize>) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+pub fn run_mm<A: Account>(acct: &mut A, engine: &KvEngine, batch: &mut Batch, range: Range<usize>) {
     let now = engine.clock.now_secs();
     for i in range {
         if batch.queries[i].op != QueryOp::Set {
             continue;
         }
         let q = &batch.queries[i];
-        usage += ResourceUsage::new(costs::MM_INSNS_PER_ALLOC, costs::MM_MEM_PER_ALLOC, 0);
+        acct.charge(|_| ResourceUsage::new(costs::MM_INSNS_PER_ALLOC, costs::MM_MEM_PER_ALLOC, 0));
         engine.ops.mm_allocs.fetch_add(1, AtomicOrdering::Relaxed);
         let kh = key_hash(&q.key);
         let deadline = ttl_to_deadline(q.ttl, now);
@@ -114,28 +202,35 @@ pub fn run_mm(ctx: StageCtx, engine: &KvEngine, batch: &mut Batch, range: Range<
             .allocate_with(&q.key, &q.value, deadline, q.flags, now, kh.hash)
         {
             Ok(out) => {
-                if out.evicted.is_some() {
-                    usage +=
-                        ResourceUsage::new(costs::MM_INSNS_PER_EVICT, costs::MM_MEM_PER_EVICT, 0);
-                }
-                // Allocation pressure may have bulk-reclaimed expired
-                // segments; price each freed slot like an eviction's
-                // bookkeeping (the index unlink runs in IN-Delete).
-                let n_rec = out.reclaimed.len() as u64;
-                if n_rec > 0 {
-                    usage += ResourceUsage::new(
-                        n_rec * costs::MM_INSNS_PER_EVICT,
-                        n_rec * costs::MM_MEM_PER_EVICT,
-                        0,
-                    );
-                }
-                // Writing key+value into the fresh object: sequential
-                // stores, priced as cache-line writes.
-                let obj_lines = lines_for(q.key.len() + q.value.len(), ctx.cache_line);
-                usage += ResourceUsage::new(obj_lines * costs::INSNS_PER_LINE, 0, obj_lines)
-                    .with_bytes((q.key.len() + q.value.len()) as u64);
+                acct.charge(|ctx| {
+                    let mut usage = ResourceUsage::ZERO;
+                    if out.evicted.is_some() {
+                        usage += ResourceUsage::new(
+                            costs::MM_INSNS_PER_EVICT,
+                            costs::MM_MEM_PER_EVICT,
+                            0,
+                        );
+                    }
+                    // Allocation pressure may have bulk-reclaimed expired
+                    // segments; price each freed slot like an eviction's
+                    // bookkeeping (the index unlink runs in IN-Delete).
+                    let n_rec = out.reclaimed.len() as u64;
+                    if n_rec > 0 {
+                        usage += ResourceUsage::new(
+                            n_rec * costs::MM_INSNS_PER_EVICT,
+                            n_rec * costs::MM_MEM_PER_EVICT,
+                            0,
+                        );
+                    }
+                    // Writing key+value into the fresh object: sequential
+                    // stores, priced as cache-line writes.
+                    let obj_lines = lines_for(q.key.len() + q.value.len(), ctx.cache_line);
+                    usage
+                        + ResourceUsage::new(obj_lines * costs::INSNS_PER_LINE, 0, obj_lines)
+                            .with_bytes((q.key.len() + q.value.len()) as u64)
+                });
                 if let Some(ev) = &out.evicted {
-                    engine.cache_invalidate(ev.loc);
+                    acct.cache_invalidate(engine, ev.loc);
                 }
                 // Segment-reclaim purges ride the engine's deferred
                 // queue (drained by the next IN-Delete pass) instead of
@@ -153,7 +248,6 @@ pub fn run_mm(ctx: StageCtx, engine: &KvEngine, batch: &mut Batch, range: Range<
             }
         }
     }
-    usage
 }
 
 /// `IN`-Search: index lookups for every GET in `range`, one prefetched
@@ -161,13 +255,12 @@ pub fn run_mm(ctx: StageCtx, engine: &KvEngine, batch: &mut Batch, range: Range<
 /// GETs are gathered into stack buffers, probed together, and the
 /// candidates scattered back — no heap traffic, identical
 /// [`ResourceUsage`] to the scalar path.
-pub fn run_index_search(
-    _ctx: StageCtx,
+pub fn run_index_search<A: Account>(
+    acct: &mut A,
     engine: &KvEngine,
     batch: &mut Batch,
     range: Range<usize>,
-) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+) {
     let mut idx = [0usize; PROBE_WAVEFRONT];
     let mut keys = [KH_NONE; PROBE_WAVEFRONT];
     let mut cands = [Candidates::default(); PROBE_WAVEFRONT];
@@ -188,23 +281,22 @@ pub fn run_index_search(
             .ops
             .index_searches
             .fetch_add(n as u64, AtomicOrdering::Relaxed);
-        usage += engine.index.search_batch(&keys[..n], &mut cands[..n]);
+        let u = engine.index.search_batch(&keys[..n], &mut cands[..n]);
+        acct.charge(|_| u);
         for k in 0..n {
             batch.state[idx[k]].candidates = cands[k];
         }
     }
-    usage
 }
 
 /// `IN`-Insert: index upserts for every SET in `range` (requires `MM`).
 /// A replaced old version is freed (it is garbage once unreachable).
-pub fn run_index_insert(
-    _ctx: StageCtx,
+pub fn run_index_insert<A: Account>(
+    acct: &mut A,
     engine: &KvEngine,
     batch: &mut Batch,
     range: Range<usize>,
-) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+) {
     let mut idx = [0usize; PROBE_WAVEFRONT];
     let mut items = [(KH_NONE, 0u64); PROBE_WAVEFRONT];
     let mut outs: [Result<Option<u64>, InsertError>; PROBE_WAVEFRONT] =
@@ -229,7 +321,8 @@ pub fn run_index_insert(
             .ops
             .index_inserts
             .fetch_add(n as u64, AtomicOrdering::Relaxed);
-        usage += engine.index.upsert_batch(&items[..n], &mut outs[..n]);
+        let u = engine.index.upsert_batch(&items[..n], &mut outs[..n]);
+        acct.charge(|_| u);
         for k in 0..n {
             match outs[k] {
                 Ok(_replaced) => {
@@ -247,19 +340,17 @@ pub fn run_index_insert(
             }
         }
     }
-    usage
 }
 
 /// `IN`-Delete: remove index entries of objects evicted by `MM`, and
 /// process explicit DELETE queries end-to-end (search → compare →
 /// delete → free).
-pub fn run_index_delete(
-    ctx: StageCtx,
+pub fn run_index_delete<A: Account>(
+    acct: &mut A,
     engine: &KvEngine,
     batch: &mut Batch,
     range: Range<usize>,
-) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+) {
     let mut idx = [0usize; PROBE_WAVEFRONT];
     let mut keys = [KH_NONE; PROBE_WAVEFRONT];
     let mut items = [(KH_NONE, 0u64); PROBE_WAVEFRONT];
@@ -289,13 +380,14 @@ pub fn run_index_delete(
                 .ops
                 .index_deletes
                 .fetch_add(n as u64, AtomicOrdering::Relaxed);
-            usage += engine.index.delete_batch(&items[..n], &mut removed[..n]);
+            let u = engine.index.delete_batch(&items[..n], &mut removed[..n]);
+            acct.charge(|_| u);
             for &(_, loc) in &items[..n] {
                 // Free-and-invalidate for KC-deferred entries; bulk
                 // segment reclaims arrive here already freed and only
                 // need the cache-filter invalidation.
                 if engine.store.expire_if_due(loc, now) || !engine.store.slot_live(loc) {
-                    engine.cache_invalidate(loc);
+                    acct.cache_invalidate(engine, loc);
                 }
             }
         }
@@ -326,7 +418,10 @@ pub fn run_index_delete(
                 .ops
                 .index_deletes
                 .fetch_add(n_ev as u64, AtomicOrdering::Relaxed);
-            usage += engine.index.delete_batch(&items[..n_ev], &mut removed[..n_ev]);
+            let u = engine
+                .index
+                .delete_batch(&items[..n_ev], &mut removed[..n_ev]);
+            acct.charge(|_| u);
         }
         // Explicit DELETE queries: one batched search per wavefront, then
         // the destructive compare→delete→free walk per candidate.
@@ -342,26 +437,29 @@ pub fn run_index_delete(
         if n == 0 {
             continue;
         }
-        usage += engine.index.search_batch(&keys[..n], &mut cands[..n]);
+        let u = engine.index.search_batch(&keys[..n], &mut cands[..n]);
+        acct.charge(|_| u);
         for k in 0..n {
             let i = idx[k];
             let key = &batch.queries[i].key;
             let mut response = Response::not_found();
             for &loc in cands[k].as_slice() {
                 // Key comparison before destructive ops.
-                let key_lines = lines_for(key.len(), ctx.cache_line);
-                usage += ResourceUsage::new(
-                    costs::KC_INSNS_PER_CANDIDATE + key_lines * costs::INSNS_PER_LINE,
-                    1,
-                    key_lines.saturating_sub(1),
-                );
+                acct.charge(|ctx| {
+                    let key_lines = lines_for(key.len(), ctx.cache_line);
+                    ResourceUsage::new(
+                        costs::KC_INSNS_PER_CANDIDATE + key_lines * costs::INSNS_PER_LINE,
+                        1,
+                        key_lines.saturating_sub(1),
+                    )
+                });
                 if engine.store.key_matches(loc, key) {
                     engine.ops.index_deletes.fetch_add(1, AtomicOrdering::Relaxed);
                     let (deleted, du) = engine.index.delete(keys[k], loc);
-                    usage += du;
+                    acct.charge(|_| du);
                     if deleted {
                         engine.store.free(loc);
-                        engine.cache_invalidate(loc);
+                        acct.cache_invalidate(engine, loc);
                         response = Response::ok();
                     }
                     break;
@@ -370,20 +468,13 @@ pub fn run_index_delete(
             batch.state[i].response = Some(response);
         }
     }
-    usage
 }
 
 /// `KC`: compare candidate objects' keys for every GET in `range`,
 /// resolving the object location. Also records the access in the
 /// executing processor's hot-set filter and bumps the skew-sampling
 /// frequency counter.
-pub fn run_kc(
-    ctx: StageCtx,
-    engine: &KvEngine,
-    batch: &mut Batch,
-    range: Range<usize>,
-) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+pub fn run_kc<A: Account>(acct: &mut A, engine: &KvEngine, batch: &mut Batch, range: Range<usize>) {
     let epoch = engine.sample_epoch();
     let now = engine.clock.now_secs();
     // Snapshot the recycle generation before any key validation: RD
@@ -412,28 +503,20 @@ pub fn run_kc(
                 continue;
             }
             let key = &batch.queries[i].key;
-            let key_lines = lines_for(key.len(), ctx.cache_line);
             let mut resolved = None;
-            let mut hot = false;
             for &loc in batch.state[i].candidates.as_slice() {
-                let (klen, vlen) = engine.store.object_lens(loc);
-                let obj_bytes = (dido_kvstore::HEADER_SIZE + klen + vlen) as u64;
-                let cache_hit = engine.cache_access(ctx.processor, loc, obj_bytes);
+                let cache_hit = acct.cache_access(engine, loc);
                 // Header+key fetch: one random access on a cold object, all
                 // cache lines on a hot one.
-                usage += if cache_hit {
-                    ResourceUsage::new(
-                        costs::KC_INSNS_PER_CANDIDATE + key_lines * costs::INSNS_PER_LINE,
-                        0,
-                        key_lines,
-                    )
-                } else {
-                    ResourceUsage::new(
-                        costs::KC_INSNS_PER_CANDIDATE + key_lines * costs::INSNS_PER_LINE,
-                        1,
-                        key_lines.saturating_sub(1),
-                    )
-                };
+                acct.charge(|ctx| {
+                    let key_lines = lines_for(key.len(), ctx.cache_line);
+                    let insns = costs::KC_INSNS_PER_CANDIDATE + key_lines * costs::INSNS_PER_LINE;
+                    if cache_hit {
+                        ResourceUsage::new(insns, 0, key_lines)
+                    } else {
+                        ResourceUsage::new(insns, 1, key_lines.saturating_sub(1))
+                    }
+                });
                 match engine.store.probe(loc, key, now) {
                     ProbeOutcome::Miss => continue,
                     ProbeOutcome::Expired => {
@@ -444,7 +527,6 @@ pub fn run_kc(
                     }
                     ProbeOutcome::Hit => {
                         resolved = Some(loc);
-                        hot = cache_hit;
                         engine.store.touch(loc, epoch);
                     }
                 }
@@ -452,7 +534,6 @@ pub fn run_kc(
             }
             let st = &mut batch.state[i];
             st.loc = resolved;
-            st.hot = hot;
             if resolved.is_none() {
                 st.response = Some(Response::not_found());
             }
@@ -473,20 +554,13 @@ pub fn run_kc(
                 cookie: key_hash(&batch.queries[i].key).hash,
             }));
     }
-    usage
 }
 
 /// `RD`: read each resolved GET's value into the batch's staging arena.
 /// The per-query state records only the arena offset range, so the
 /// steady-state path allocates nothing per query; a prefetch pass warms
 /// each wavefront's value bytes before the copies run.
-pub fn run_rd(
-    ctx: StageCtx,
-    engine: &KvEngine,
-    batch: &mut Batch,
-    range: Range<usize>,
-) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
+pub fn run_rd<A: Account>(acct: &mut A, engine: &KvEngine, batch: &mut Batch, range: Range<usize>) {
     // Split borrows: the queries are read, the state and arena mutated.
     let Batch {
         ref queries,
@@ -513,26 +587,28 @@ pub fn run_rd(
                 continue;
             }
             saw_get = true;
-            let (klen, vlen) = engine.store.object_lens(loc);
-            let val_lines = lines_for(vlen, ctx.cache_line);
+            let vlen = engine.store.object_lens(loc).1;
             // Affinity (paper §III-B-1): KC fetched the object into this
             // processor's cache — but only while the batch's working set
             // actually fits. The capacity-bounded filter decides
             // operationally (KC on another processor, or a working set
             // beyond the cache, both come back cold).
-            let obj_bytes = (dido_kvstore::HEADER_SIZE + klen + vlen) as u64;
-            let warm = engine.cache_access(ctx.processor, loc, obj_bytes);
-            usage += if warm {
-                ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 0, val_lines)
-            } else {
-                ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 1, val_lines - 1)
-            }
-            .with_bytes(vlen as u64);
-            // Stage the value: sequential buffer writes (always cached).
+            let warm = acct.cache_access(engine, loc);
+            acct.charge(|ctx| {
+                let val_lines = lines_for(vlen, ctx.cache_line);
+                let read = if warm {
+                    ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 0, val_lines)
+                } else {
+                    ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 1, val_lines - 1)
+                };
+                // Staging the value: sequential buffer writes (always
+                // cached).
+                read.with_bytes(vlen as u64)
+                    + ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 0, val_lines)
+            });
             state[i].staged = Some(arena.stage_with(vlen, |buf| {
                 engine.store.read_value(loc, buf);
             }));
-            usage += ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 0, val_lines);
         }
         // A slot can be freed (expiry sweep on the controller thread,
         // allocation-pressure reclaim on a peer dispatcher) and
@@ -559,7 +635,6 @@ pub fn run_rd(
             }
         }
     }
-    usage
 }
 
 /// `WR`: construct each query's response. Freezes the staging arena
@@ -568,9 +643,7 @@ pub fn run_rd(
 /// is the extra pass the paper describes ("the task WR on the other
 /// stage needs to read the key-value objects in the buffer to construct
 /// responses").
-pub fn run_wr(ctx: StageCtx, batch: &mut Batch, range: Range<usize>) -> ResourceUsage {
-    let mut usage = ResourceUsage::ZERO;
-    let rd_same_stage = ctx.has(TaskKind::Rd);
+pub fn run_wr<A: Account>(acct: &mut A, batch: &mut Batch, range: Range<usize>) {
     let Batch {
         ref queries,
         ref mut state,
@@ -581,22 +654,21 @@ pub fn run_wr(ctx: StageCtx, batch: &mut Batch, range: Range<usize>) -> Resource
         if state[i].response.is_some() {
             continue; // SET/DELETE/miss already answered
         }
-        usage += ResourceUsage::new(costs::WR_INSNS_PER_QUERY, 0, 1);
+        acct.charge(|_| ResourceUsage::new(costs::WR_INSNS_PER_QUERY, 0, 1));
         match queries[i].op {
             QueryOp::Get => {
                 let value = match state[i].staged.take() {
                     Some(staged) => {
-                        let val_lines = lines_for(staged.len(), ctx.cache_line);
                         // Reading the staged bytes: free ride if RD just
                         // wrote them here; an extra sequential pass
                         // otherwise.
-                        if !rd_same_stage {
-                            usage += ResourceUsage::new(
-                                val_lines * costs::INSNS_PER_LINE,
-                                0,
-                                val_lines,
-                            );
-                        }
+                        acct.charge(|ctx| {
+                            if ctx.has(TaskKind::Rd) {
+                                return ResourceUsage::ZERO;
+                            }
+                            let val_lines = lines_for(staged.len(), ctx.cache_line);
+                            ResourceUsage::new(val_lines * costs::INSNS_PER_LINE, 0, val_lines)
+                        });
                         arena.frozen_slice(&staged)
                     }
                     None => {
@@ -613,7 +685,6 @@ pub fn run_wr(ctx: StageCtx, batch: &mut Batch, range: Range<usize>) -> Resource
             }
         }
     }
-    usage
 }
 
 /// `SD`: encode all responses into frames on the NIC TX ring. Runs over
@@ -671,17 +742,17 @@ pub fn inject_queries(engine: &KvEngine, queries: &[Query]) -> usize {
 }
 
 /// Dispatch one index-operation task by kind.
-pub fn run_index_op(
+pub fn run_index_op<A: Account>(
     op: IndexOpKind,
-    ctx: StageCtx,
+    acct: &mut A,
     engine: &KvEngine,
     batch: &mut Batch,
     range: Range<usize>,
-) -> ResourceUsage {
+) {
     match op {
-        IndexOpKind::Search => run_index_search(ctx, engine, batch, range),
-        IndexOpKind::Insert => run_index_insert(ctx, engine, batch, range),
-        IndexOpKind::Delete => run_index_delete(ctx, engine, batch, range),
+        IndexOpKind::Search => run_index_search(acct, engine, batch, range),
+        IndexOpKind::Insert => run_index_insert(acct, engine, batch, range),
+        IndexOpKind::Delete => run_index_delete(acct, engine, batch, range),
     }
 }
 
@@ -689,7 +760,7 @@ pub fn run_index_op(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use dido_model::{PipelineConfig, ResponseStatus};
+    use dido_model::ResponseStatus;
 
     fn engine() -> KvEngine {
         KvEngine::new(EngineConfig::new(1 << 20, 64 * 1024, 16 * 1024))
@@ -700,21 +771,7 @@ mod tests {
     }
 
     fn run_full_pipeline(engine: &KvEngine, queries: Vec<Query>) -> Vec<Response> {
-        let mut batch = Batch::new(queries, PipelineConfig::mega_kv());
-        let n = batch.len();
-        let all = cpu_ctx(&TaskKind::ALL);
-        run_mm(all, engine, &mut batch, 0..n);
-        run_index_insert(all, engine, &mut batch, 0..n);
-        run_index_delete(all, engine, &mut batch, 0..n);
-        run_index_search(all, engine, &mut batch, 0..n);
-        run_kc(all, engine, &mut batch, 0..n);
-        run_rd(all, engine, &mut batch, 0..n);
-        run_wr(all, &mut batch, 0..n);
-        batch
-            .state
-            .iter_mut()
-            .map(|s| s.response.take().unwrap())
-            .collect()
+        serve(engine, queries)
     }
 
     #[test]
@@ -769,10 +826,10 @@ mod tests {
             let e = engine();
             run_full_pipeline(&e, vec![Query::set("key-x", vec![b'v'; 200])]);
             let mut batch = Batch::new(vec![Query::get("key-x")], PipelineConfig::mega_kv());
-            run_index_search(cpu_ctx(&[TaskKind::In]), &e, &mut batch, 0..1);
+            cpu_ctx(&[TaskKind::In]).price(|a| run_index_search(a, &e, &mut batch, 0..1));
             let kc_ctx = StageCtx::new(kc_proc, TaskSet::from_tasks(&[TaskKind::Kc]), 64);
-            run_kc(kc_ctx, &e, &mut batch, 0..1);
-            run_rd(cpu_ctx(&[TaskKind::Kc, TaskKind::Rd]), &e, &mut batch, 0..1)
+            kc_ctx.price(|a| run_kc(a, &e, &mut batch, 0..1));
+            cpu_ctx(&[TaskKind::Kc, TaskKind::Rd]).price(|a| run_rd(a, &e, &mut batch, 0..1))
         };
         let cold = run(Processor::Gpu); // KC warmed the *GPU* cache only
         let warm = run(Processor::Cpu); // KC warmed this CPU cache
@@ -797,9 +854,9 @@ mod tests {
         let gets: Vec<Query> = (0..n).map(|i| Query::get(format!("big-{i:04}"))).collect();
         let mut batch = Batch::new(gets, PipelineConfig::mega_kv());
         let ctx = cpu_ctx(&[TaskKind::In, TaskKind::Kc, TaskKind::Rd]);
-        run_index_search(ctx, &e, &mut batch, 0..n);
-        run_kc(ctx, &e, &mut batch, 0..n);
-        let rd = run_rd(ctx, &e, &mut batch, 0..n);
+        ctx.price(|a| run_index_search(a, &e, &mut batch, 0..n));
+        ctx.price(|a| run_kc(a, &e, &mut batch, 0..n));
+        let rd = ctx.price(|a| run_rd(a, &e, &mut batch, 0..n));
         // 512 × ~200B objects = ~100 KB working set vs 4 KB cache: the
         // vast majority of RDs must pay a memory access.
         assert!(
@@ -816,15 +873,16 @@ mod tests {
         run_full_pipeline(&e, vec![Query::set("key-y", vec![b'v'; 512])]);
         let mk_batch = || {
             let mut b = Batch::new(vec![Query::get("key-y")], PipelineConfig::mega_kv());
-            run_index_search(cpu_ctx(&[TaskKind::In]), &e, &mut b, 0..1);
-            run_kc(cpu_ctx(&[TaskKind::Kc, TaskKind::Rd]), &e, &mut b, 0..1);
-            run_rd(cpu_ctx(&[TaskKind::Kc, TaskKind::Rd]), &e, &mut b, 0..1);
+            cpu_ctx(&[TaskKind::In]).price(|a| run_index_search(a, &e, &mut b, 0..1));
+            let kc_rd = cpu_ctx(&[TaskKind::Kc, TaskKind::Rd]);
+            kc_rd.price(|a| run_kc(a, &e, &mut b, 0..1));
+            kc_rd.price(|a| run_rd(a, &e, &mut b, 0..1));
             b
         };
         let mut same = mk_batch();
-        let u_same = run_wr(cpu_ctx(&[TaskKind::Rd, TaskKind::Wr]), &mut same, 0..1);
+        let u_same = cpu_ctx(&[TaskKind::Rd, TaskKind::Wr]).price(|a| run_wr(a, &mut same, 0..1));
         let mut split = mk_batch();
-        let u_split = run_wr(cpu_ctx(&[TaskKind::Wr]), &mut split, 0..1);
+        let u_split = cpu_ctx(&[TaskKind::Wr]).price(|a| run_wr(a, &mut split, 0..1));
         assert!(u_split.cache_accesses > u_same.cache_accesses);
         assert_eq!(same.state[0].response, split.state[0].response);
     }
@@ -839,13 +897,13 @@ mod tests {
                 vec![Query::set(format!("grow-{i}"), vec![b'x'; 40])],
                 PipelineConfig::mega_kv(),
             );
-            let all = cpu_ctx(&TaskKind::ALL);
-            run_mm(all, &e, &mut batch, 0..1);
+            let a = &mut Serve;
+            run_mm(a, &e, &mut batch, 0..1);
             if batch.state[0].evicted.is_some() {
                 evictions += 1;
             }
-            run_index_insert(all, &e, &mut batch, 0..1);
-            run_index_delete(all, &e, &mut batch, 0..1);
+            run_index_insert(a, &e, &mut batch, 0..1);
+            run_index_delete(a, &e, &mut batch, 0..1);
         }
         assert!(
             evictions > 100,
@@ -917,11 +975,27 @@ mod tests {
         run_full_pipeline(&e, vec![Query::set("hot", vec![b'h'; 64])]);
         let probe = |e: &KvEngine| {
             let mut b = Batch::new(vec![Query::get("hot")], PipelineConfig::mega_kv());
-            run_index_search(cpu_ctx(&[TaskKind::In]), e, &mut b, 0..1);
-            run_kc(cpu_ctx(&[TaskKind::Kc]), e, &mut b, 0..1)
+            cpu_ctx(&[TaskKind::In]).price(|a| run_index_search(a, e, &mut b, 0..1));
+            cpu_ctx(&[TaskKind::Kc]).price(|a| run_kc(a, e, &mut b, 0..1))
         };
         let first = probe(&e);
         let second = probe(&e);
         assert!(first.mem_accesses > second.mem_accesses);
+    }
+
+    #[test]
+    fn serve_pass_leaves_the_cache_filters_untouched() {
+        let e = engine();
+        run_full_pipeline(&e, vec![Query::set("cold", vec![b'c'; 64])]);
+        for _ in 0..3 {
+            let r = serve(&e, vec![Query::get("cold")]);
+            assert_eq!(&r[0].value[..], &[b'c'; 64][..]);
+        }
+        // Had the serving GETs touched the CPU filter, this first
+        // simulated KC would hit.
+        let mut b = Batch::new(vec![Query::get("cold")], PipelineConfig::mega_kv());
+        cpu_ctx(&[TaskKind::In]).price(|a| run_index_search(a, &e, &mut b, 0..1));
+        let kc = cpu_ctx(&[TaskKind::Kc]).price(|a| run_kc(a, &e, &mut b, 0..1));
+        assert_eq!(kc.mem_accesses, 1, "serving warmed the simulated cache");
     }
 }

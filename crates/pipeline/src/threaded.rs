@@ -120,7 +120,7 @@ impl BatchGroup {
 }
 
 /// Claim/steal counters of one [`ThreadedPipeline`], accumulated across
-/// every `run`/`run_inline` call. Snapshot via
+/// every `run` call. Snapshot via
 /// [`ThreadedPipeline::exec_stats`]; feed into `dido::metrics::Metrics`
 /// with its `record_exec_stats` to make stealing observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,36 +164,32 @@ enum Role {
 fn run_stage_on_sub(engine: &KvEngine, stage: &StagePlan, batch: &mut Batch, cache_line: u64) {
     let ctx = StageCtx::new(stage.processor, stage.tasks, cache_line);
     let n = batch.len();
-    for t in stage.tasks.iter() {
-        match t {
-            TaskKind::Rv | TaskKind::Pp | TaskKind::Sd => {
-                // Frame I/O happens at the pipeline boundary, not per
-                // sub-batch; see `ThreadedPipeline::run`.
-            }
-            TaskKind::Mm => {
-                tasks::run_mm(ctx, engine, batch, 0..n);
-            }
-            TaskKind::In => {
-                for &op in &stage.index_ops {
-                    tasks::run_index_op(op, ctx, engine, batch, 0..n);
+    // Usage is discarded here, but the filters must still see every
+    // access: they are shared with any simulator run on the same engine.
+    ctx.price(|a| {
+        for t in stage.tasks.iter() {
+            match t {
+                TaskKind::Rv | TaskKind::Pp | TaskKind::Sd => {
+                    // Frame I/O happens at the pipeline boundary, not per
+                    // sub-batch; see `ThreadedPipeline::run`.
                 }
-            }
-            TaskKind::Kc => {
-                tasks::run_kc(ctx, engine, batch, 0..n);
-            }
-            TaskKind::Rd => {
-                tasks::run_rd(ctx, engine, batch, 0..n);
-            }
-            TaskKind::Wr => {
-                tasks::run_wr(ctx, batch, 0..n);
+                TaskKind::Mm => tasks::run_mm(a, engine, batch, 0..n),
+                TaskKind::In => {
+                    for &op in &stage.index_ops {
+                        tasks::run_index_op(op, a, engine, batch, 0..n);
+                    }
+                }
+                TaskKind::Kc => tasks::run_kc(a, engine, batch, 0..n),
+                TaskKind::Rd => tasks::run_rd(a, engine, batch, 0..n),
+                TaskKind::Wr => tasks::run_wr(a, batch, 0..n),
             }
         }
-    }
-    if !stage.tasks.contains(TaskKind::In) {
-        for &op in &stage.index_ops {
-            tasks::run_index_op(op, ctx, engine, batch, 0..n);
+        if !stage.tasks.contains(TaskKind::In) {
+            for &op in &stage.index_ops {
+                tasks::run_index_op(op, a, engine, batch, 0..n);
+            }
         }
-    }
+    });
 }
 
 /// Claim-and-process loop shared by a stage's own thread and any
@@ -442,58 +438,6 @@ impl<'e> ThreadedPipeline<'e> {
         });
         results
     }
-
-    /// Process batches sequentially on the calling thread, through the
-    /// same stage plan and claim machinery as [`ThreadedPipeline::run`]
-    /// but without spawning any threads. Used by
-    /// [`crate::ShardedEngine`]'s worker pool, where parallelism lives
-    /// across shards rather than across stages.
-    #[must_use]
-    pub fn run_inline(&self, batches: Vec<Vec<Query>>) -> Vec<Vec<Response>> {
-        self.run_inline_impl(batches, true)
-    }
-
-    /// [`ThreadedPipeline::run_inline`] without the final SD packing
-    /// onto the engine's simulated TX ring. The concurrent serving core
-    /// uses this: its responses leave through the real network
-    /// front-end's SD writer, so packing them onto the simulated NIC
-    /// would only burn cycles and (on a long-lived server) churn the TX
-    /// ring for frames nobody drains.
-    #[must_use]
-    pub fn run_inline_no_sd(&self, batches: Vec<Vec<Query>>) -> Vec<Vec<Response>> {
-        self.run_inline_impl(batches, false)
-    }
-
-    fn run_inline_impl(&self, batches: Vec<Vec<Query>>, sd: bool) -> Vec<Vec<Response>> {
-        batches
-            .into_iter()
-            .map(|queries| {
-                let group = BatchGroup::new(queries, self.plan.config);
-                for stage in &self.plan.stages {
-                    let epoch = group.begin_stage();
-                    drain_group(
-                        self.engine,
-                        stage,
-                        &group,
-                        epoch,
-                        self.cache_line,
-                        &self.counters,
-                        Role::Owner,
-                        None,
-                    );
-                    group.wait_stage_complete();
-                }
-                let mut responses = Vec::new();
-                for mut sub in group.into_batches() {
-                    responses.append(&mut sub.take_responses());
-                }
-                if sd {
-                    tasks::run_sd_responses(self.engine, &responses);
-                }
-                responses
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -608,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn run_inline_matches_run() {
+    fn staged_run_matches_the_serve_pass() {
         let mk = || {
             let e = engine();
             for q in queries(300, "il") {
@@ -616,23 +560,13 @@ mod tests {
             }
             e
         };
-        let statuses = |out: Vec<Vec<Response>>| {
-            out.into_iter()
-                .map(|rs| rs.into_iter().map(|r| r.status).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-        };
+        let statuses = |rs: Vec<Response>| rs.into_iter().map(|r| r.status).collect::<Vec<_>>();
         let e1 = mk();
         let threaded = ThreadedPipeline::new(&e1, PipelineConfig::mega_kv());
-        let a = statuses(threaded.run(vec![queries(512, "il")]));
+        let a = statuses(threaded.run(vec![queries(512, "il")]).remove(0));
         let e2 = mk();
-        let inline = ThreadedPipeline::new(&e2, PipelineConfig::mega_kv());
-        let b = statuses(inline.run_inline(vec![queries(512, "il")]));
+        let b = statuses(tasks::serve(&e2, queries(512, "il")));
         assert_eq!(a, b);
-        // Inline processing claims every sub-batch as the owner.
-        let stats = inline.exec_stats();
-        assert!(stats.owner_claims > 0);
-        assert_eq!(stats.stolen_claims, 0);
-        assert_eq!(stats.stale_rejects, 0);
     }
 
     #[test]

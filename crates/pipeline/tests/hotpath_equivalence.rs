@@ -1,5 +1,6 @@
-//! The wavefront-vectorized task pipeline must be observationally
-//! identical to the scalar reference path on a recorded workload.
+//! The wavefront-vectorized task pipeline, run as the fused serve pass
+//! ([`tasks::serve`]), must be observationally identical to the scalar
+//! reference path on a recorded workload.
 //!
 //! The oracle is [`KvEngine::execute`], which still walks the original
 //! per-query path (scalar `IndexTable::search`, per-query
@@ -9,8 +10,8 @@
 //! the staging arena and the batched probes changed the memory layout,
 //! not the semantics.
 
-use dido_model::{PipelineConfig, Processor, Query, Response, TaskKind, TaskSet};
-use dido_pipeline::{tasks, Batch, EngineConfig, KvEngine, StageCtx};
+use dido_model::{Query, Response};
+use dido_pipeline::{tasks, EngineConfig, KvEngine};
 
 /// Deterministic splitmix64 stream so the "recorded" workload is
 /// reproducible without a file.
@@ -31,22 +32,6 @@ fn engine() -> KvEngine {
     // interleaving is the only ordering concern (handled below by
     // keeping keys distinct within a batch).
     KvEngine::new(EngineConfig::new(8 << 20, 64 * 1024, 16 * 1024))
-}
-
-/// Run a batch through the staged tasks in canonical stage order and
-/// collect its responses.
-fn run_tasks(engine: &KvEngine, queries: Vec<Query>) -> Vec<Response> {
-    let mut batch = Batch::new(queries, PipelineConfig::mega_kv());
-    let n = batch.len();
-    let all = StageCtx::new(Processor::Cpu, TaskSet::from_tasks(&TaskKind::ALL), 64);
-    tasks::run_mm(all, engine, &mut batch, 0..n);
-    tasks::run_index_insert(all, engine, &mut batch, 0..n);
-    tasks::run_index_delete(all, engine, &mut batch, 0..n);
-    tasks::run_index_search(all, engine, &mut batch, 0..n);
-    tasks::run_kc(all, engine, &mut batch, 0..n);
-    tasks::run_rd(all, engine, &mut batch, 0..n);
-    tasks::run_wr(all, &mut batch, 0..n);
-    batch.take_responses()
 }
 
 #[test]
@@ -89,7 +74,7 @@ fn vectorized_tasks_match_scalar_execute_on_recorded_workload() {
             })
             .collect();
 
-        let vec_responses = run_tasks(&vectorized, queries.clone());
+        let vec_responses = tasks::serve(&vectorized, queries.clone());
         let oracle_responses: Vec<Response> = queries.iter().map(|q| oracle.execute(q)).collect();
         for (i, (v, o)) in vec_responses.iter().zip(&oracle_responses).enumerate() {
             assert_eq!(
@@ -117,7 +102,7 @@ fn responses_are_zero_copy_slices_of_one_arena() {
         e.execute(&Query::set(format!("z-{i:03}"), vec![b'v'; 100]));
     }
     let gets: Vec<Query> = (0..n).map(|i| Query::get(format!("z-{i:03}"))).collect();
-    let responses = run_tasks(&e, gets);
+    let responses = tasks::serve(&e, gets);
 
     // RD stages values in query order into one buffer; after WR freezes
     // it, every response value must be a back-to-back window of the same

@@ -4,7 +4,7 @@
 //! keep the aggregate `op_counts` accounting intact (the retired donor
 //! counters fold into the baseline).
 
-use dido_model::{PipelineConfig, Query, ResponseStatus};
+use dido_model::{Query, ResponseStatus};
 use dido_pipeline::{route_of, EngineConfig, ShardedEngine};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -50,7 +50,7 @@ proptest! {
         // and the accounting check is meaningful.
         let gets: Vec<Query> = live.keys().map(|&id| Query::get(key(id))).collect();
         if !gets.is_empty() {
-            let _ = s.process_batch_inline(gets, |_| PipelineConfig::cpu_only());
+            let _ = s.serve_batch(gets);
         }
         let counts_before = s.op_counts();
 

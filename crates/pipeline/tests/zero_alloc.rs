@@ -1,15 +1,16 @@
-//! Steady-state allocation audit of the `IN`→`WR` hot path.
+//! Steady-state allocation audit of the serve pass.
 //!
 //! A counting global allocator measures how many heap allocations the
-//! batched tasks perform for a warmed 512-query GET batch. The old path
-//! allocated at least one `Vec` per query in `RD` plus one `Bytes`
-//! conversion per response in `WR` (≥ 1024 allocations per 512-query
-//! batch); the arena-staged path is allowed only batch-level overhead —
-//! staging-buffer growth doublings, the single arena freeze, and
-//! occasional cache-filter queue growth — far below one per query.
+//! fused serve pass ([`tasks::serve`]) performs for a 512-query GET
+//! batch. The old path allocated at least one `Vec` per query in `RD`
+//! plus one `Bytes` conversion per response in `WR` (≥ 1024
+//! allocations per 512-query batch); the arena-staged path is allowed
+//! only batch-level overhead — the batch's state vectors,
+//! staging-buffer growth doublings, the single arena freeze and the
+//! response vector — far below one per query.
 
-use dido_model::{PipelineConfig, Processor, Query, TaskKind, TaskSet};
-use dido_pipeline::{tasks, Batch, EngineConfig, KvEngine, StageCtx};
+use dido_model::Query;
+use dido_pipeline::{tasks, EngineConfig, KvEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -46,54 +47,34 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// One `#[test]` only: the counter is process-global and must not see a
 /// concurrent sibling test's allocations.
 #[test]
-fn steady_state_in_to_wr_path_does_not_allocate_per_query() {
+fn serve_pass_does_not_allocate_per_query() {
     let n = 512usize;
     let engine = KvEngine::new(EngineConfig::new(8 << 20, 1 << 20, 256 * 1024));
     for i in 0..n {
         engine.execute(&Query::set(format!("za-{i:04}"), vec![b'v'; 64]));
     }
     let gets: Vec<Query> = (0..n).map(|i| Query::get(format!("za-{i:04}"))).collect();
-    let ctx = StageCtx::new(
-        Processor::Cpu,
-        TaskSet::from_tasks(&[TaskKind::In, TaskKind::Kc, TaskKind::Rd, TaskKind::Wr]),
-        64,
-    );
-    let run = |batch: &mut Batch| {
-        let n = batch.len();
-        tasks::run_index_search(ctx, &engine, batch, 0..n);
-        tasks::run_kc(ctx, &engine, batch, 0..n);
-        tasks::run_rd(ctx, &engine, batch, 0..n);
-        tasks::run_wr(ctx, batch, 0..n);
-    };
 
-    // Warm-up batch: populates the cache filters (whose first-touch
-    // inserts do allocate) so the measured batch is steady state.
-    let mut warm = Batch::new(gets.clone(), PipelineConfig::mega_kv());
-    run(&mut warm);
-
-    // Measured batch. Built before counting starts: batch construction
-    // (queries/state/tags vectors) is per-batch setup, not the per-query
-    // hot path under audit.
-    let mut batch = Batch::new(gets, PipelineConfig::mega_kv());
+    // Measured batch. The query vector is built before counting starts:
+    // it is the caller's input, not work the serve pass does.
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    run(&mut batch);
+    let responses = tasks::serve(&engine, gets);
     COUNTING.store(false, Ordering::SeqCst);
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     // Every GET produced a real response out of the shared arena.
-    let responses = batch.take_responses();
     assert_eq!(responses.len(), n);
     for (i, r) in responses.iter().enumerate() {
         assert_eq!(&r.value[..], &[b'v'; 64][..], "response {i}");
     }
 
     // Batch-level overhead only: the old per-query path needed ≥ 2n
-    // allocations here; the arena path must stay far under one per
-    // query (growth doublings + one freeze + filter-queue churn).
+    // allocations here; the serve pass must stay far under one per
+    // query.
     assert!(
         allocs <= (n as u64) / 8,
-        "IN→WR over {n} warmed GETs performed {allocs} allocations — \
+        "the serve pass over {n} GETs performed {allocs} allocations — \
          the hot path is allocating per query again"
     );
     assert!(allocs > 0, "the single arena freeze must be visible");

@@ -372,7 +372,7 @@ fn main() -> std::io::Result<()> {
             let (state, epoch) = handler_core.engine().shard_map().load();
             eprintln!("shard map: {state:?} (epoch {epoch})");
             for (s, c) in configs.iter().enumerate() {
-                eprintln!("shard {s} pipeline: {c}");
+                eprintln!("shard {s} model decision: {c}");
             }
             eprintln!("adaptions: {adaptions}");
         }

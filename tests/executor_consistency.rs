@@ -1,6 +1,7 @@
 //! Cross-executor and model-vs-simulator consistency: the same queries
 //! must produce the same functional answers on the virtual-time
-//! executor and the real-thread executor, for every pipeline shape; and
+//! executor, the real-thread executor and the serve pass, for every
+//! pipeline shape; and
 //! the analytic cost model must track the simulator within a sane error
 //! band (the paper's Figure 9 property).
 
@@ -8,7 +9,7 @@ use dido_kv::apu::{HwSpec, TimingEngine};
 use dido_kv::cost_model::CostModel;
 use dido_kv::model::{ConfigEnumerator, PipelineConfig, Query, ResponseStatus};
 use dido_kv::pipeline::{
-    preloaded_engine, RunOptions, SimExecutor, TestbedOptions, ThreadedPipeline,
+    preloaded_engine, tasks, RunOptions, SimExecutor, TestbedOptions, ThreadedPipeline,
 };
 use dido_kv::workload::WorkloadSpec;
 
@@ -23,7 +24,8 @@ fn testbed() -> TestbedOptions {
 fn sim_and_threaded_agree_on_every_config_shape() {
     let hw = HwSpec::kaveri_apu();
     // 100% GET: no evictions, so responses are fully deterministic and
-    // the two executors must agree exactly.
+    // the executors must agree exactly — the serve pass included, which
+    // has no configuration and must match every shape.
     let spec = WorkloadSpec::from_label("K16-G100-U").unwrap();
     let configs = [
         PipelineConfig::mega_kv(),
@@ -44,10 +46,17 @@ fn sim_and_threaded_agree_on_every_config_shape() {
             let out = tp.run(vec![generator.batch(2_048)]);
             out[0].iter().map(|r| r.status).collect::<Vec<_>>()
         };
+        let run_serve = || {
+            let (engine, mut generator) = preloaded_engine(spec, &hw, testbed());
+            let out = tasks::serve(&engine, generator.batch(2_048));
+            out.iter().map(|r| r.status).collect::<Vec<_>>()
+        };
         let a = run_sim();
         let b = run_threaded();
+        let c = run_serve();
         assert_eq!(a.len(), b.len(), "config {config}");
         assert_eq!(a, b, "executors disagree under {config}");
+        assert_eq!(a, c, "the serve pass disagrees with {config}");
     }
 }
 

@@ -19,8 +19,8 @@
 //! counted.
 
 use dido_kv::dido::Metrics;
-use dido_kv::model::{PipelineConfig, Query, ResponseStatus, WAVEFRONT_WIDTH};
-use dido_kv::pipeline::{EngineConfig, KvEngine, ThreadedPipeline};
+use dido_kv::model::{PipelineConfig, Query, Response, ResponseStatus, WAVEFRONT_WIDTH};
+use dido_kv::pipeline::{tasks, EngineConfig, KvEngine, ThreadedPipeline};
 use std::time::Duration;
 
 /// Deterministic mixed SET/GET workload (no DELETEs, so the expected
@@ -160,26 +160,31 @@ fn stolen_claims_flow_into_metrics() {
 #[test]
 fn stealing_and_inline_paths_agree_under_lag() {
     // The same workload through (a) the staged executor with a lagging
-    // helper and (b) the inline executor must produce identical status
-    // sequences — stale refusals must not drop or duplicate responses.
-    let run = |inline: bool| {
+    // helper and (b) the inline serve pass must produce identical status
+    // sequences and identical per-task op totals — stale refusals must
+    // not drop or duplicate responses or task work. (Values may differ:
+    // the staged executor pipelines batches, so a later batch's SET can
+    // land before an earlier batch's GET reads.)
+    let run = |staged: bool| {
         let engine = KvEngine::new(EngineConfig::new(8 << 20, 256 << 10, 64 << 10));
         for id in 0..2_000 {
             engine.execute(&Query::set(format!("race-{id:05}"), vec![b'p'; 48]));
         }
-        let mut config = PipelineConfig::small_kv_read_intensive();
-        config.work_stealing = true;
-        let pipeline = ThreadedPipeline::new(&engine, config)
-            .with_steal_lag(Duration::from_micros(200));
         let batches: Vec<Vec<Query>> = (0..3).map(|b| mixed_batch(b, 512, 2_000)).collect();
-        let out = if inline {
-            pipeline.run_inline(batches)
+        let out: Vec<Vec<Response>> = if staged {
+            let mut config = PipelineConfig::small_kv_read_intensive();
+            config.work_stealing = true;
+            ThreadedPipeline::new(&engine, config)
+                .with_steal_lag(Duration::from_micros(200))
+                .run(batches)
         } else {
-            pipeline.run(batches)
+            batches.into_iter().map(|b| tasks::serve(&engine, b)).collect()
         };
-        out.into_iter()
-            .map(|rs| rs.into_iter().map(|r| r.status).collect::<Vec<_>>())
-            .collect::<Vec<_>>()
+        let statuses: Vec<Vec<ResponseStatus>> = out
+            .into_iter()
+            .map(|rs| rs.into_iter().map(|r| r.status).collect())
+            .collect();
+        (statuses, engine.op_counts())
     };
-    assert_eq!(run(false), run(true));
+    assert_eq!(run(true), run(false));
 }
