@@ -5,6 +5,12 @@
 //! [`Bytes`] whose `slice()` shares the parent allocation (the net
 //! crate's zero-copy parser test checks pointer provenance), a growable
 //! [`BytesMut`] builder, and the little-endian [`BufMut`] writers.
+//!
+//! Cost model, matching the real crate where the serving path cares:
+//! [`Bytes::new`] and [`Bytes::from_static`] never allocate;
+//! `From<Vec<u8>>` and [`BytesMut::freeze`] move the buffer without
+//! copying it (one small refcount-box allocation); `clone` and
+//! [`Bytes::slice`] bump that refcount and copy nothing.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -14,24 +20,41 @@ use std::sync::Arc;
 
 /// A cheaply clonable, immutable, contiguous slice of memory.
 ///
-/// Backed by an `Arc<[u8]>` plus a sub-range; `clone` and [`Bytes::slice`]
-/// never copy the payload, they bump the refcount and narrow the window.
-#[derive(Clone)]
+/// A `(ptr, len)` view plus an optional shared owner: static and empty
+/// views have no owner at all, heap views keep the moved-in `Vec` alive
+/// through an `Arc`. `clone` and [`Bytes::slice`] never copy the
+/// payload, they bump the refcount and narrow the window.
 pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    ptr: *const u8,
+    len: usize,
+    /// Keeps the heap buffer `ptr` points into alive; `None` for
+    /// `'static` data. The `Vec` is never mutated or reallocated while
+    /// shared, so `ptr` stays valid for as long as the owner lives.
+    owner: Option<Arc<Vec<u8>>>,
 }
 
+// SAFETY: a `Bytes` is an immutable view into either `'static` memory or
+// a buffer owned by an `Arc<Vec<u8>>` (itself `Send + Sync`); no `&mut`
+// access to the viewed bytes exists anywhere.
+unsafe impl Send for Bytes {}
+// SAFETY: see `Send` — shared references only ever read.
+unsafe impl Sync for Bytes {}
+
 impl Bytes {
-    /// Create an empty `Bytes`.
-    pub fn new() -> Bytes {
-        Bytes::from(Vec::new())
+    /// Create an empty `Bytes`. Does not allocate.
+    #[inline]
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
     }
 
-    /// Create `Bytes` from a static slice.
-    pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(bytes)
+    /// Create `Bytes` viewing a static slice. Does not allocate.
+    #[inline]
+    pub const fn from_static(bytes: &'static [u8]) -> Bytes {
+        Bytes {
+            ptr: bytes.as_ptr(),
+            len: bytes.len(),
+            owner: None,
+        }
     }
 
     /// Create `Bytes` by copying `data` into a fresh allocation.
@@ -40,13 +63,15 @@ impl Bytes {
     }
 
     /// Length of the view in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// Whether the view is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// Return a sub-view of `self` sharing the same allocation.
@@ -69,9 +94,11 @@ impl Bytes {
             "range out of bounds: {begin}..{end} of {len}"
         );
         Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + begin,
-            end: self.start + end,
+            // SAFETY: `begin <= len`, so the offset stays inside (or one
+            // past the end of) the viewed region.
+            ptr: unsafe { self.ptr.add(begin) },
+            len: end - begin,
+            owner: self.owner.clone(),
         }
     }
 
@@ -81,10 +108,24 @@ impl Bytes {
     }
 }
 
+impl Clone for Bytes {
+    #[inline]
+    fn clone(&self) -> Bytes {
+        Bytes {
+            ptr: self.ptr,
+            len: self.len,
+            owner: self.owner.clone(),
+        }
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        // SAFETY: `ptr..ptr+len` lies inside `'static` data or the buffer
+        // `owner` keeps alive (or is an empty view of either).
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
 
@@ -193,10 +234,18 @@ impl PartialEq<String> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Take ownership of `v` without copying its bytes (an empty `v` is
+    /// dropped and becomes the allocation-free empty view).
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
-        Bytes { data, start: 0, end }
+        if v.is_empty() {
+            return Bytes::new();
+        }
+        let owner = Arc::new(v);
+        Bytes {
+            ptr: owner.as_ptr(),
+            len: owner.len(),
+            owner: Some(owner),
+        }
     }
 }
 
@@ -208,13 +257,13 @@ impl From<String> for Bytes {
 
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
+        Bytes::from_static(s.as_bytes())
     }
 }
 
 impl From<&'static [u8]> for Bytes {
     fn from(s: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(s)
+        Bytes::from_static(s)
     }
 }
 
@@ -308,7 +357,8 @@ impl BytesMut {
         }
     }
 
-    /// Convert into an immutable [`Bytes`].
+    /// Convert into an immutable [`Bytes`], moving the buffer (no copy:
+    /// the frozen view points at the same bytes).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }

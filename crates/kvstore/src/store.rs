@@ -30,9 +30,16 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Object header layout (little endian):
-/// `key_len:u16 | val_len:u32 | freq:u32 | epoch:u32 | class:u8 | flags:u8
-///  | deadline:u32 | client_flags:u32`.
+/// Object header layout (little endian), three arena words:
+/// `key_len:u16 | class:u8 | flags:u8 | val_len:u32` ·
+/// `freq:u32 | epoch:u32` · `deadline:u32 | client_flags:u32`.
+///
+/// Fields are grouped by who writes them: word 0 is written once at
+/// allocation and afterwards changed only by lane-masked flag RMWs, word
+/// 1 holds the sampling counters `touch` rewrites with one word store
+/// (never racing the flag byte's word), word 2 is the protocol metadata.
+/// Objects start on 32-byte slot boundaries, so every header word is
+/// word-aligned in the arena.
 ///
 /// `deadline` is the absolute unix-seconds expiry (0 = never expires),
 /// already converted from the protocol-relative TTL by the engine;
@@ -41,16 +48,45 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const HEADER_SIZE: usize = 24;
 
 const OFF_KEY_LEN: usize = 0;
-const OFF_VAL_LEN: usize = 2;
-const OFF_FREQ: usize = 6;
-const OFF_EPOCH: usize = 10;
-const OFF_CLASS: usize = 14;
-const OFF_FLAGS: usize = 15;
+const OFF_CLASS: usize = 2;
+const OFF_FLAGS: usize = 3;
+const OFF_VAL_LEN: usize = 4;
+const OFF_FREQ: usize = 8;
+const OFF_EPOCH: usize = 12;
 const OFF_DEADLINE: usize = 16;
 const OFF_CLIENT_FLAGS: usize = 20;
 
+// `touch` and `freq` treat freq/epoch as one word: freq low, epoch high.
+const _: () = assert!(OFF_FREQ == 8 && OFF_EPOCH == OFF_FREQ + 4);
+
 const FLAG_LIVE: u8 = 1;
 const FLAG_REFERENCED: u8 = 2;
+
+/// Header word 0, decoded from one arena load.
+#[derive(Clone, Copy)]
+struct Head {
+    key_len: usize,
+    class: usize,
+    flags: u8,
+    val_len: usize,
+}
+
+impl Head {
+    #[inline]
+    fn decode(w: u64) -> Head {
+        Head {
+            key_len: (w >> (8 * OFF_KEY_LEN)) as u16 as usize,
+            class: (w >> (8 * OFF_CLASS)) as u8 as usize,
+            flags: (w >> (8 * OFF_FLAGS)) as u8,
+            val_len: (w >> (8 * OFF_VAL_LEN)) as u32 as usize,
+        }
+    }
+
+    #[inline]
+    fn live(self) -> bool {
+        self.flags & FLAG_LIVE != 0
+    }
+}
 
 /// Smallest size class in bytes.
 const MIN_CLASS_BYTES: usize = 32;
@@ -66,6 +102,10 @@ const BUCKET_SECS: u32 = 8;
 /// Open (unsealed) segments kept per class; when a new bucket would
 /// exceed this, the segment closest to expiring is sealed early.
 const MAX_OPEN_SEGMENTS: usize = 4;
+
+/// Segment members a class may carry beyond twice its live objects
+/// before its segments are compacted (see `ObjectStore::compact_segments`).
+const MEMBER_SLACK: usize = 2 * SEGMENT_SLOTS;
 
 /// What the `KC` task found at a candidate location (see
 /// [`ObjectStore::probe`]).
@@ -152,15 +192,33 @@ pub struct ExpiryStats {
     pub segments_reclaimed: u64,
     /// Sealed segments currently awaiting expiry (gauge).
     pub sealed_segments: u64,
+    /// Memberships held by open and sealed segments (gauge). Bounded by
+    /// about twice the live objects: stale members are compacted away.
+    pub segment_members: u64,
 }
 
 /// A batch of same-class allocations whose deadlines share a bucket
 /// window. Members may be stale (freed, evicted, or recycled since
-/// joining); reclamation revalidates each slot before freeing it.
+/// joining); reclamation revalidates each slot before freeing it, and
+/// compaction drops them once they outnumber the class's live objects.
 struct Segment {
+    /// Slot class whose allocations joined (a loc never changes class).
+    class: usize,
     bucket: u32,
     max_deadline: u32,
-    members: Vec<(u64, u64)>, // (loc, key-hash cookie)
+    members: Vec<Member>,
+}
+
+/// One allocation's segment membership.
+#[derive(Clone, Copy)]
+struct Member {
+    loc: u64,
+    /// Key-hash cookie naming the index entry to purge.
+    cookie: u64,
+    /// Join order within the slot's class (joins happen under the class
+    /// lock, and a loc never changes class): of two memberships of one
+    /// loc, the later names its current occupant.
+    stamp: u64,
 }
 
 #[derive(Default)]
@@ -174,6 +232,10 @@ struct ClassLists {
     live_bytes: usize,
     frag_bytes: usize,
     open: Vec<Segment>,
+    /// Memberships in this class's segments, open and sealed.
+    members: usize,
+    /// Joins so far; the next [`Member::stamp`].
+    joins: u64,
 }
 
 /// The key-value object store.
@@ -369,15 +431,25 @@ impl ObjectStore {
         lists.live += 1;
         lists.live_bytes += total;
         lists.frag_bytes += slot_size - total;
-        // Bound ring growth from free/reuse churn.
+        // Bound ring growth from free/reuse churn: drop dead entries and
+        // the older duplicates a recycled slot leaves behind (keeping the
+        // newest, the current occupant's CLOCK position). Without the
+        // dedupe, overwrite churn over LIFO free lists keeps every entry
+        // "live" and the compaction re-runs on each allocation.
         if lists.ring.len() > 4 * lists.live.max(16) {
-            let arena = &self.arena;
-            lists
+            let mut seen = std::collections::HashSet::with_capacity(lists.live);
+            let mut ring: VecDeque<u64> = lists
                 .ring
-                .retain(|&l| arena.read_u8(l as usize + OFF_FLAGS) & FLAG_LIVE != 0);
+                .iter()
+                .rev()
+                .copied()
+                .filter(|&l| self.head(l as usize).live() && seen.insert(l))
+                .collect();
+            ring.make_contiguous().reverse();
+            lists.ring = ring;
         }
         if deadline != 0 {
-            self.join_segment(&mut lists, loc, cookie, deadline);
+            self.join_segment(&mut lists, slot_class, loc, cookie, deadline);
         }
         drop(lists);
 
@@ -456,10 +528,9 @@ impl ObjectStore {
             if prev & FLAG_LIVE == 0 {
                 continue;
             }
-            let key_len = self.arena.read_u16(off + OFF_KEY_LEN) as usize;
-            let val_len = self.arena.read_u32(off + OFF_VAL_LEN) as usize;
-            let key = self.arena.read_vec(off + HEADER_SIZE, key_len);
-            let total = HEADER_SIZE + key_len + val_len;
+            let head = self.head(off);
+            let key = self.arena.read_vec(off + HEADER_SIZE, head.key_len);
+            let total = HEADER_SIZE + head.key_len + head.val_len;
             lists.live = lists.live.saturating_sub(1);
             lists.live_bytes = lists.live_bytes.saturating_sub(total);
             lists.frag_bytes = lists.frag_bytes.saturating_sub(class_size - total.min(class_size));
@@ -468,11 +539,21 @@ impl ObjectStore {
         None
     }
 
-    fn join_segment(&self, lists: &mut ClassLists, loc: u64, cookie: u64, deadline: u32) {
+    fn join_segment(&self, lists: &mut ClassLists, class: usize, loc: u64, cookie: u64, deadline: u32) {
+        lists.members += 1;
+        if lists.members > 2 * lists.live + MEMBER_SLACK {
+            self.compact_segments(lists, class);
+        }
+        let member = Member {
+            loc,
+            cookie,
+            stamp: lists.joins,
+        };
+        lists.joins += 1;
         let bucket = deadline / BUCKET_SECS;
         if let Some(pos) = lists.open.iter().position(|s| s.bucket == bucket) {
             let seg = &mut lists.open[pos];
-            seg.members.push((loc, cookie));
+            seg.members.push(member);
             seg.max_deadline = seg.max_deadline.max(deadline);
             if seg.members.len() >= SEGMENT_SLOTS {
                 let seg = lists.open.swap_remove(pos);
@@ -494,10 +575,59 @@ impl ObjectStore {
             self.sealed.lock().push(seg);
         }
         lists.open.push(Segment {
+            class,
             bucket,
             max_deadline: deadline,
-            members: vec![(loc, cookie)],
+            members: vec![member],
         });
+    }
+
+    /// Drop the stale memberships of `class`'s segments, open and
+    /// sealed: members whose slot is dead, holds an object without a
+    /// deadline, or was re-joined later by a newer occupant (only the
+    /// newest membership of a loc names its current object and cookie).
+    /// What remains is at most one member per live TTL object, so a
+    /// class's bookkeeping tracks its live objects rather than its SET
+    /// rate × TTL. Runs under the class lock — a slot of this class
+    /// cannot be published (made live, given a membership) meanwhile —
+    /// and takes the sealed lock after it, the store's usual order.
+    /// Triggered once members exceed twice the live count plus
+    /// [`MEMBER_SLACK`], so its cost amortizes to O(1) per join.
+    fn compact_segments(&self, lists: &mut ClassLists, class: usize) {
+        let mut sealed = self.sealed.lock();
+        let mut segs: Vec<&mut Segment> = lists
+            .open
+            .iter_mut()
+            .chain(sealed.iter_mut().filter(|s| s.class == class))
+            .collect();
+        // Newest stamp per loc that still holds a live TTL object.
+        let mut newest = std::collections::HashMap::with_capacity(lists.live);
+        for seg in &segs {
+            for m in &seg.members {
+                let off = m.loc as usize;
+                if self.head(off).live() && self.arena.read_u32(off + OFF_DEADLINE) != 0 {
+                    let stamp = newest.entry(m.loc).or_insert(m.stamp);
+                    *stamp = (*stamp).max(m.stamp);
+                }
+            }
+        }
+        let mut dropped = 0usize;
+        for seg in &mut segs {
+            let before = seg.members.len();
+            seg.members.retain(|m| newest.get(&m.loc) == Some(&m.stamp));
+            dropped += before - seg.members.len();
+        }
+        // Emptied sealed segments have nothing left to reclaim; shrink
+        // the rest, which never grow again.
+        sealed.retain_mut(|s| {
+            if s.class == class {
+                s.members.shrink_to_fit();
+            }
+            !s.members.is_empty()
+        });
+        // A relative update: a sealed segment a concurrent reclaim took
+        // out before this pass is subtracted by that reclaim itself.
+        lists.members -= dropped;
     }
 
     /// Reclaim up to `max_segments` whole segments whose bucket window
@@ -542,13 +672,21 @@ impl ObjectStore {
                 }
             }
         }
-        let mut purged = 0u64;
         for seg in &segs {
-            for &(loc, cookie) in &seg.members {
-                if self.expire_if_due(loc, now) {
-                    out.push(PurgedEntry { loc, cookie });
-                    purged += 1;
-                }
+            let mut lists = self.classes[seg.class].lock();
+            lists.members = lists.members.saturating_sub(seg.members.len());
+        }
+        // Newest membership first: when a recycled slot appears in
+        // several reclaimed segments, its current occupant is purged
+        // under its own cookie and the stale memberships then find the
+        // slot dead.
+        let mut members: Vec<Member> = segs.iter().flat_map(|s| s.members.iter().copied()).collect();
+        members.sort_unstable_by_key(|m| std::cmp::Reverse(m.stamp));
+        let mut purged = 0u64;
+        for &Member { loc, cookie, .. } in &members {
+            if self.expire_if_due(loc, now) {
+                out.push(PurgedEntry { loc, cookie });
+                purged += 1;
             }
         }
         self.expired_proactive.fetch_add(purged, Ordering::Relaxed);
@@ -594,10 +732,16 @@ impl ObjectStore {
     /// backlog gauge.
     #[must_use]
     pub fn expiry_stats(&self) -> ExpiryStats {
+        // One lock at a time, each guard dropped at the end of its own
+        // statement: holding the sealed lock while taking a class lock
+        // would invert the class → sealed order `join_segment` uses.
+        let sealed_segments = self.sealed.lock().len() as u64;
+        let segment_members = self.classes.iter().map(|c| c.lock().members as u64).sum();
         ExpiryStats {
             expired_proactive: self.expired_proactive.load(Ordering::Relaxed),
             segments_reclaimed: self.segments_reclaimed.load(Ordering::Relaxed),
-            sealed_segments: self.sealed.lock().len() as u64,
+            sealed_segments,
+            segment_members,
         }
     }
 
@@ -623,16 +767,16 @@ impl ObjectStore {
 
     fn write_object(&self, loc: u64, key: &[u8], value: &[u8], class: u8, deadline: u32, cflags: u32) {
         let off = loc as usize;
-        self.arena.write_u16(off + OFF_KEY_LEN, key.len() as u16);
-        self.arena.write_u32(off + OFF_VAL_LEN, value.len() as u32);
-        self.arena.write_u32(off + OFF_FREQ, 0);
-        self.arena.write_u32(off + OFF_EPOCH, 0);
-        self.arena.write_u8(off + OFF_CLASS, class);
-        // Written dead; the caller flips FLAG_LIVE under the class lock
+        // Built in registers and stored as three whole words. Written
+        // dead (flags 0); the caller flips FLAG_LIVE under the class lock
         // once the ring entry and accounting are in place.
-        self.arena.write_u8(off + OFF_FLAGS, 0);
-        self.arena.write_u32(off + OFF_DEADLINE, deadline);
-        self.arena.write_u32(off + OFF_CLIENT_FLAGS, cflags);
+        let mut header = [0u8; HEADER_SIZE];
+        header[OFF_KEY_LEN..OFF_KEY_LEN + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+        header[OFF_CLASS] = class;
+        header[OFF_VAL_LEN..OFF_VAL_LEN + 4].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        header[OFF_DEADLINE..OFF_DEADLINE + 4].copy_from_slice(&deadline.to_le_bytes());
+        header[OFF_CLIENT_FLAGS..OFF_CLIENT_FLAGS + 4].copy_from_slice(&cflags.to_le_bytes());
+        self.arena.write(off, &header);
         self.arena.write(off + HEADER_SIZE, key);
         self.arena.write(off + HEADER_SIZE + key.len(), value);
     }
@@ -697,12 +841,9 @@ impl ObjectStore {
     /// Return a just-claimed (flags already cleared) slot to its class
     /// free list and settle the accounting.
     fn release_slot(&self, loc: u64) {
-        let off = loc as usize;
-        let class = self.arena.read_u8(off + OFF_CLASS) as usize;
-        let class = class.min(self.class_count - 1);
-        let key_len = self.arena.read_u16(off + OFF_KEY_LEN) as usize;
-        let val_len = self.arena.read_u32(off + OFF_VAL_LEN) as usize;
-        let total = HEADER_SIZE + key_len + val_len;
+        let head = self.head(loc as usize);
+        let class = head.class.min(self.class_count - 1);
+        let total = HEADER_SIZE + head.key_len + head.val_len;
         let class_size = Self::class_size(class);
         let mut lists = self.classes[class].lock();
         lists.free.push(loc);
@@ -719,13 +860,8 @@ impl ObjectStore {
         if off + HEADER_SIZE > self.arena.capacity() {
             return false;
         }
-        if self.arena.read_u8(off + OFF_FLAGS) & FLAG_LIVE == 0 {
-            return false;
-        }
-        if self.arena.read_u16(off + OFF_KEY_LEN) as usize != key.len() {
-            return false;
-        }
-        self.arena.bytes_equal(off + HEADER_SIZE, key)
+        let head = self.head(off);
+        head.live() && head.key_len == key.len() && self.arena.bytes_equal(off + HEADER_SIZE, key)
     }
 
     /// Key compare and expiry check in one header visit (the `KC` hot
@@ -735,10 +871,11 @@ impl ObjectStore {
     #[inline]
     pub fn probe(&self, loc: u64, key: &[u8], now: u32) -> ProbeOutcome {
         let off = loc as usize;
-        if off + HEADER_SIZE > self.arena.capacity()
-            || self.arena.read_u8(off + OFF_FLAGS) & FLAG_LIVE == 0
-            || self.arena.read_u16(off + OFF_KEY_LEN) as usize != key.len()
-            || !self.arena.bytes_equal(off + HEADER_SIZE, key)
+        if off + HEADER_SIZE > self.arena.capacity() {
+            return ProbeOutcome::Miss;
+        }
+        let head = self.head(off);
+        if !head.live() || head.key_len != key.len() || !self.arena.bytes_equal(off + HEADER_SIZE, key)
         {
             return ProbeOutcome::Miss;
         }
@@ -769,11 +906,13 @@ impl ObjectStore {
     /// Key and value lengths of the object at `loc`.
     #[must_use]
     pub fn object_lens(&self, loc: u64) -> (usize, usize) {
-        let off = loc as usize;
-        (
-            self.arena.read_u16(off + OFF_KEY_LEN) as usize,
-            self.arena.read_u32(off + OFF_VAL_LEN) as usize,
-        )
+        let head = self.head(loc as usize);
+        (head.key_len, head.val_len)
+    }
+
+    #[inline]
+    fn head(&self, off: usize) -> Head {
+        Head::decode(self.arena.read_u64(off))
     }
 
     /// Append the object's value to `dst` (the `RD` task). Returns the
@@ -810,23 +949,20 @@ impl ObjectStore {
         if self.arena.read_u8(off + OFF_FLAGS) & FLAG_REFERENCED == 0 {
             self.arena.fetch_or_u8(off + OFF_FLAGS, FLAG_REFERENCED);
         }
-        if self.arena.read_u32(off + OFF_EPOCH) != epoch {
-            self.arena.write_u32(off + OFF_EPOCH, epoch);
-            self.arena.write_u32(off + OFF_FREQ, 1);
-            1
-        } else {
-            self.arena.fetch_add_u32(off + OFF_FREQ, 1) + 1
-        }
+        // freq and epoch share one word: one load, one store. Racing
+        // touches may lose an increment, which the sampler tolerates.
+        let (freq, seen) = self.freq(loc);
+        let freq = if seen == epoch { freq.wrapping_add(1) } else { 1 };
+        self.arena
+            .write_u64(off + OFF_FREQ, u64::from(freq) | u64::from(epoch) << 32);
+        freq
     }
 
     /// The object's current sampling frequency and epoch.
     #[must_use]
     pub fn freq(&self, loc: u64) -> (u32, u32) {
-        let off = loc as usize;
-        (
-            self.arena.read_u32(off + OFF_FREQ),
-            self.arena.read_u32(off + OFF_EPOCH),
-        )
+        let w = self.arena.read_u64(loc as usize + OFF_FREQ);
+        (w as u32, (w >> 32) as u32)
     }
 
     /// Restore CLOCK/sampling metadata onto a (just-written) object:
@@ -836,8 +972,8 @@ impl ObjectStore {
     /// every migrated object looking cold.
     pub fn restore_clock(&self, loc: u64, freq: u32, epoch: u32) {
         let off = loc as usize;
-        self.arena.write_u32(off + OFF_FREQ, freq);
-        self.arena.write_u32(off + OFF_EPOCH, epoch);
+        self.arena
+            .write_u64(off + OFF_FREQ, u64::from(freq) | u64::from(epoch) << 32);
         if freq > 0 {
             self.arena.fetch_or_u8(off + OFF_FLAGS, FLAG_REFERENCED);
         }
@@ -1217,6 +1353,58 @@ mod tests {
     }
 
     #[test]
+    fn segment_members_stay_bounded_by_live_objects() {
+        // TTL SETs churning over a small keyspace, each overwrite freeing
+        // the key's previous slot as the engine's IN-Delete would: every
+        // SET joins a segment, nothing expires during the loop, so
+        // without compaction the memberships would grow with the SET
+        // count. One size class, so the bound is 2 × live + one slack.
+        use std::collections::HashMap;
+        let s = ObjectStore::new(64 << 10);
+        let mut at: HashMap<u64, u64> = HashMap::new(); // key id → loc
+        for i in 0..40_000u64 {
+            let id = i % 300;
+            let key = format!("key-{id:05}");
+            let deadline = 1_000 + (i % 40) as u32;
+            let out = s.allocate_with(key.as_bytes(), &[b'v'; 40], deadline, 0, 0, id).unwrap();
+            if let Some(ev) = &out.evicted {
+                let victim: u64 = std::str::from_utf8(&ev.key[4..]).unwrap().parse().unwrap();
+                at.remove(&victim);
+            }
+            if let Some(old) = at.insert(id, out.loc) {
+                assert!(s.free(old));
+            }
+            let e = s.expiry_stats();
+            let live = s.live_objects() as u64;
+            // +1 live: the trigger counted this SET's object before its
+            // predecessor was freed.
+            assert!(
+                e.segment_members <= 2 * (live + 1) + MEMBER_SLACK as u64,
+                "{} members for {live} live objects after {i} sets",
+                e.segment_members
+            );
+        }
+        assert_eq!(s.live_objects(), at.len());
+        // The CLOCK ring is bounded the same way (recycled-slot duplicates
+        // are dropped, not kept as "live").
+        for c in &s.classes {
+            let lists = c.lock();
+            assert!(lists.ring.len() <= 4 * lists.live.max(16) + 1, "ring {}", lists.ring.len());
+        }
+        // Compaction kept exactly the memberships that still matter: the
+        // far-future sweep expires every live object, and each purge
+        // names the cookie of the object actually at that loc.
+        let mut purged = Vec::new();
+        s.sweep_expired(u32::MAX - 1, usize::MAX, &mut purged);
+        assert_eq!(s.live_objects(), 0);
+        assert_eq!(purged.len(), at.len());
+        for p in purged {
+            assert_eq!(at.get(&p.cookie), Some(&p.loc), "purge names a stale cookie");
+        }
+        assert_eq!(s.expiry_stats().segment_members, 0);
+    }
+
+    #[test]
     fn concurrent_sweep_and_churn() {
         use std::sync::Arc;
         let s = Arc::new(ObjectStore::new(1 << 20));
@@ -1231,6 +1419,9 @@ mod tests {
                     now = now.wrapping_add(7);
                     s.sweep_expired(now, usize::MAX, &mut out);
                     out.clear();
+                    // The stats reader takes the sealed and class locks
+                    // while writers seal segments under their class lock.
+                    let _ = s.expiry_stats();
                 }
             })
         };

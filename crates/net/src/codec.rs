@@ -30,6 +30,7 @@ use crate::protocol::{encode_responses_wire_into, frame_query_count, parse_frame
 use crate::server::MAX_FRAME_BYTES;
 use bytes::{Bytes, BytesMut};
 use dido_model::{Query, Response, ResponseStatus, TTL_IMMEDIATE};
+use std::ops::Range;
 
 /// memcached's relative/absolute exptime boundary: values up to 30
 /// days are relative seconds, larger values are absolute unix time.
@@ -318,9 +319,11 @@ pub enum RequestMeta {
     /// memcached `get`/`gets`: echo each hit as a `VALUE` line, then
     /// `END`.
     McGet {
-        /// The requested keys, in request order (zero-copy slices of
-        /// the request payload).
-        keys: Vec<Bytes>,
+        /// The validated command line without its CRLF (a zero-copy
+        /// slice of the request payload): the tokens after the command
+        /// are the requested keys, in request order, which the encoder
+        /// re-walks to echo — no per-request key list is built.
+        line: Bytes,
         /// `gets` — append a CAS column to each `VALUE` line.
         with_cas: bool,
     },
@@ -411,23 +414,26 @@ fn decode_memcached(payload: &Bytes, now: u32, out: &mut Vec<Query>) -> RequestM
     let Some(cmd) = tokens.next() else {
         return RequestMeta::McError(MC_BAD_LINE);
     };
-    match &cmd[..] {
-        b"get" | b"gets" => {
-            let with_cas = &cmd[..] == b"gets";
-            let mut keys = Vec::new();
+    match &payload[cmd] {
+        cmd @ (b"get" | b"gets") => {
+            let with_cas = cmd == b"gets";
+            let start = out.len();
             for key in tokens {
                 if key.len() > MAX_MC_KEY {
+                    out.truncate(start);
                     return RequestMeta::McError(MC_BAD_LINE);
                 }
-                keys.push(key);
+                out.push(Query::get(payload.slice(key)));
             }
-            if keys.is_empty() {
+            if out.len() == start {
                 return RequestMeta::McError(MC_BAD_LINE);
             }
-            out.extend(keys.iter().map(|k| Query::get(k.clone())));
-            RequestMeta::McGet { keys, with_cas }
+            RequestMeta::McGet {
+                line: payload.slice(..line_end),
+                with_cas,
+            }
         }
-        b"set" => match decode_mc_set(tokens) {
+        b"set" => match decode_mc_set(payload, tokens) {
             Ok(set) => set.finish(payload, lf, now, out),
             Err(msg) => RequestMeta::McError(msg),
         },
@@ -438,12 +444,12 @@ fn decode_memcached(payload: &Bytes, now: u32, out: &mut Vec<Query>) -> RequestM
             if key.len() > MAX_MC_KEY {
                 return RequestMeta::McError(MC_BAD_LINE);
             }
-            let noreply = match tokens.next() {
+            let noreply = match tokens.next().map(|t| &payload[t]) {
                 None => false,
-                Some(t) if t == b"noreply"[..] && tokens.next().is_none() => true,
+                Some(b"noreply") if tokens.next().is_none() => true,
                 Some(_) => return RequestMeta::McError(MC_BAD_LINE),
             };
-            out.push(Query::delete(key));
+            out.push(Query::delete(payload.slice(key)));
             RequestMeta::McDelete { noreply }
         }
         _ => RequestMeta::McError("ERROR\r\n"),
@@ -453,7 +459,7 @@ fn decode_memcached(payload: &Bytes, now: u32, out: &mut Vec<Query>) -> RequestM
 /// A validated memcached `set` command line, pending data-block
 /// extraction.
 struct McSet {
-    key: Bytes,
+    key: Range<usize>,
     flags: u32,
     exptime: u32,
     bytes: usize,
@@ -473,7 +479,7 @@ impl McSet {
         }
         let value = payload.slice(data_start..data_end);
         let ttl = mc_exptime_to_ttl(self.exptime, now);
-        out.push(Query::set_with(self.key, value, ttl, self.flags));
+        out.push(Query::set_with(payload.slice(self.key), value, ttl, self.flags));
         RequestMeta::McStore {
             noreply: self.noreply,
         }
@@ -482,17 +488,18 @@ impl McSet {
 
 /// Validate the `set <key> <flags> <exptime> <bytes> [noreply]` tokens
 /// (the command token already consumed).
-fn decode_mc_set(mut tokens: TokenIter<'_>) -> Result<McSet, &'static str> {
+fn decode_mc_set(line: &[u8], mut tokens: TokenIter<'_>) -> Result<McSet, &'static str> {
     let key = tokens.next().ok_or(MC_BAD_LINE)?;
     if key.len() > MAX_MC_KEY {
         return Err(MC_BAD_LINE);
     }
-    let flags = parse_u32(&tokens.next().ok_or(MC_BAD_LINE)?).ok_or(MC_BAD_LINE)?;
-    let exptime = parse_u32(&tokens.next().ok_or(MC_BAD_LINE)?).ok_or(MC_BAD_LINE)?;
-    let bytes = parse_ascii_usize(&tokens.next().ok_or(MC_BAD_LINE)?).ok_or(MC_BAD_LINE)?;
-    let noreply = match tokens.next() {
+    let mut field = || tokens.next().map(|t| &line[t]).ok_or(MC_BAD_LINE);
+    let flags = parse_u32(field()?).ok_or(MC_BAD_LINE)?;
+    let exptime = parse_u32(field()?).ok_or(MC_BAD_LINE)?;
+    let bytes = parse_ascii_usize(field()?).ok_or(MC_BAD_LINE)?;
+    let noreply = match tokens.next().map(|t| &line[t]) {
         None => false,
-        Some(t) if t == b"noreply"[..] && tokens.next().is_none() => true,
+        Some(b"noreply") if tokens.next().is_none() => true,
         Some(_) => return Err(MC_BAD_LINE),
     };
     Ok(McSet {
@@ -504,23 +511,22 @@ fn decode_mc_set(mut tokens: TokenIter<'_>) -> Result<McSet, &'static str> {
     })
 }
 
-fn parse_u32(digits: &Bytes) -> Option<u32> {
-    parse_ascii_usize(digits)
-        .filter(|&n| n <= u32::MAX as usize)
-        .map(|n| n as u32)
+fn parse_u32(digits: &[u8]) -> Option<u32> {
+    parse_ascii_usize(digits).and_then(|n| u32::try_from(n).ok())
 }
 
-/// Zero-copy space-separated token iterator over `payload[start..end]`.
+/// Space-separated token ranges of `buf[start..end]`; the caller
+/// slices only the tokens it keeps.
 struct TokenIter<'a> {
-    payload: &'a Bytes,
+    buf: &'a [u8],
     pos: usize,
     end: usize,
 }
 
 impl<'a> TokenIter<'a> {
-    fn new(payload: &'a Bytes, start: usize, end: usize) -> TokenIter<'a> {
+    fn new(buf: &'a [u8], start: usize, end: usize) -> TokenIter<'a> {
         TokenIter {
-            payload,
+            buf,
             pos: start,
             end,
         }
@@ -528,34 +534,41 @@ impl<'a> TokenIter<'a> {
 }
 
 impl Iterator for TokenIter<'_> {
-    type Item = Bytes;
+    type Item = Range<usize>;
 
-    fn next(&mut self) -> Option<Bytes> {
-        while self.pos < self.end && self.payload[self.pos] == b' ' {
+    fn next(&mut self) -> Option<Range<usize>> {
+        while self.pos < self.end && self.buf[self.pos] == b' ' {
             self.pos += 1;
         }
         if self.pos >= self.end {
             return None;
         }
         let start = self.pos;
-        while self.pos < self.end && self.payload[self.pos] != b' ' {
+        while self.pos < self.end && self.buf[self.pos] != b' ' {
             self.pos += 1;
         }
-        Some(self.payload.slice(start..self.pos))
+        Some(start..self.pos)
     }
 }
 
 const RESP_ERR_ARGS: &str = "-ERR wrong number of arguments\r\n";
 const RESP_ERR_PROTO: &str = "-ERR Protocol error\r\n";
 
+/// Argument ranges `resp_args` keeps in place: enough for every
+/// fixed-arity command (`SET k v EX t` is the longest); the variadic
+/// ones re-walk the request.
+const RESP_KEPT_ARGS: usize = 5;
+
 fn decode_resp(payload: &Bytes, out: &mut Vec<Query>) -> RequestMeta {
-    let args = match resp_args(payload) {
-        Ok(args) => args,
+    let (n, args) = match resp_args(payload) {
+        Ok(parsed) => parsed,
         Err(msg) => return RequestMeta::RespError(msg),
     };
-    let Some(cmd) = args.first() else {
+    if n == 0 {
         return RequestMeta::RespNoop;
-    };
+    }
+    let arg = |i: usize| &payload[args[i].clone()];
+    let cmd = arg(0);
     let mut upper = [0u8; 8];
     let cmd_upper: &[u8] = if cmd.len() <= upper.len() {
         for (dst, &src) in upper.iter_mut().zip(cmd.iter()) {
@@ -566,37 +579,40 @@ fn decode_resp(payload: &Bytes, out: &mut Vec<Query>) -> RequestMeta {
         b""
     };
     match cmd_upper {
-        b"GET" if args.len() == 2 => {
-            out.push(Query::get(args[1].clone()));
+        b"GET" if n == 2 => {
+            out.push(Query::get(payload.slice(args[1].clone())));
             RequestMeta::RespGet
         }
         b"GET" => RequestMeta::RespError(RESP_ERR_ARGS),
         b"SET" => {
-            let (ttl, ok) = match args.len() {
+            let (ttl, ok) = match n {
                 3 => (0, true),
-                5 if args[3].eq_ignore_ascii_case(b"EX") => {
-                    match parse_u32(&args[4]) {
-                        Some(t) => (t, true),
-                        None => (0, false),
-                    }
-                }
+                5 if arg(3).eq_ignore_ascii_case(b"EX") => match parse_u32(arg(4)) {
+                    Some(t) => (t, true),
+                    None => (0, false),
+                },
                 _ => (0, false),
             };
             if !ok {
                 return RequestMeta::RespError("-ERR syntax error\r\n");
             }
-            out.push(Query::set_with(args[1].clone(), args[2].clone(), ttl, 0));
+            out.push(Query::set_with(
+                payload.slice(args[1].clone()),
+                payload.slice(args[2].clone()),
+                ttl,
+                0,
+            ));
             RequestMeta::RespSet
         }
-        b"DEL" if args.len() >= 2 => {
-            for key in &args[1..] {
-                out.push(Query::delete(key.clone()));
+        b"DEL" if n >= 2 => {
+            for key in RespArgWalk::new(payload).skip(1).filter_map(Result::ok) {
+                out.push(Query::delete(payload.slice(key)));
             }
             RequestMeta::RespDel
         }
-        b"MGET" if args.len() >= 2 => {
-            for key in &args[1..] {
-                out.push(Query::get(key.clone()));
+        b"MGET" if n >= 2 => {
+            for key in RespArgWalk::new(payload).skip(1).filter_map(Result::ok) {
+                out.push(Query::get(payload.slice(key)));
             }
             RequestMeta::RespMGet
         }
@@ -607,49 +623,106 @@ fn decode_resp(payload: &Bytes, out: &mut Vec<Query>) -> RequestMeta {
     }
 }
 
-/// Split one carved RESP request into its argument list (zero-copy).
-/// Total over arbitrary payloads (not just carve outputs), so the
-/// public decode API can never panic on hostile bytes.
-fn resp_args(payload: &Bytes) -> Result<Vec<Bytes>, &'static str> {
-    if payload.is_empty() {
-        return Ok(Vec::new());
+/// Validate one carved RESP request in place: the argument count plus
+/// the byte ranges of its first [`RESP_KEPT_ARGS`] arguments. Total over
+/// arbitrary payloads (not just carve outputs), so the public decode API
+/// can never panic on hostile bytes; every argument is checked before
+/// any query is emitted.
+fn resp_args(payload: &[u8]) -> Result<(usize, [Range<usize>; RESP_KEPT_ARGS]), &'static str> {
+    let mut kept: [Range<usize>; RESP_KEPT_ARGS] = Default::default();
+    let mut n = 0;
+    for arg in RespArgWalk::new(payload) {
+        let arg = arg?;
+        if let Some(slot) = kept.get_mut(n) {
+            *slot = arg;
+        }
+        n += 1;
     }
-    if payload[0] != b'*' {
-        // Inline command: whitespace-separated tokens on one line.
-        let lf = payload
-            .iter()
-            .position(|&b| b == b'\n')
-            .unwrap_or(payload.len());
-        let end = if lf > 0 && payload[lf - 1] == b'\r' {
-            lf - 1
-        } else {
-            lf
+    Ok((n, kept))
+}
+
+/// Walks the argument ranges of a RESP request: whitespace-separated
+/// tokens of an inline command's line, or the bulk strings of an array
+/// (CRLF enforced after every header and every string). Yields an error
+/// at the first malformed element and then stops.
+struct RespArgWalk<'a> {
+    buf: &'a [u8],
+    /// Inline commands: their token iterator.
+    inline: Option<TokenIter<'a>>,
+    /// Arrays: elements still to parse and where the next one starts.
+    left: usize,
+    pos: usize,
+    /// A header error to report as the first item.
+    error: Option<&'static str>,
+}
+
+impl<'a> RespArgWalk<'a> {
+    fn new(buf: &'a [u8]) -> RespArgWalk<'a> {
+        let mut walk = RespArgWalk {
+            buf,
+            inline: None,
+            left: 0,
+            pos: 0,
+            error: None,
         };
-        return Ok(TokenIter::new(payload, 0, end).collect());
+        if buf.is_empty() {
+            return walk;
+        }
+        if buf[0] != b'*' {
+            // Inline command: whitespace-separated tokens on one line.
+            let lf = buf.iter().position(|&b| b == b'\n').unwrap_or(buf.len());
+            let end = if lf > 0 && buf[lf - 1] == b'\r' { lf - 1 } else { lf };
+            walk.inline = Some(TokenIter::new(buf, 0, end));
+            return walk;
+        }
+        match resp_header_decoded(buf, 0) {
+            Ok((n, _)) if n > MAX_RESP_ARRAY => walk.error = Some(RESP_ERR_PROTO),
+            Ok((n, pos)) => (walk.left, walk.pos) = (n, pos),
+            Err(msg) => walk.error = Some(msg),
+        }
+        walk
     }
-    let (n, mut pos) = resp_header_decoded(payload, 0)?;
-    if n > MAX_RESP_ARRAY {
-        return Err(RESP_ERR_PROTO);
-    }
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        if payload.get(pos) != Some(&b'$') {
+
+    fn bulk(&mut self) -> Result<Range<usize>, &'static str> {
+        if self.buf.get(self.pos) != Some(&b'$') {
             return Err(RESP_ERR_PROTO);
         }
-        let (len, data) = resp_header_decoded(payload, pos)?;
+        let (len, data) = resp_header_decoded(self.buf, self.pos)?;
         let end = data.checked_add(len).ok_or(RESP_ERR_PROTO)?;
-        if payload.len() < end + 2 || payload[end..end + 2] != *b"\r\n" {
+        if self.buf.len() < end + 2 || self.buf[end..end + 2] != *b"\r\n" {
             return Err(RESP_ERR_PROTO);
         }
-        args.push(payload.slice(data..end));
-        pos = end + 2;
+        self.pos = end + 2;
+        Ok(data..end)
     }
-    Ok(args)
+}
+
+impl Iterator for RespArgWalk<'_> {
+    type Item = Result<Range<usize>, &'static str>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(msg) = self.error.take() {
+            self.left = 0;
+            return Some(Err(msg));
+        }
+        if let Some(tokens) = &mut self.inline {
+            return tokens.next().map(Ok);
+        }
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let arg = self.bulk();
+        if arg.is_err() {
+            self.left = 0;
+        }
+        Some(arg)
+    }
 }
 
 /// Re-parse a `<marker><decimal>\r\n` header at `pos`; CRLF (not bare
 /// LF) is enforced here even though the carve validated the structure.
-fn resp_header_decoded(payload: &Bytes, pos: usize) -> Result<(usize, usize), &'static str> {
+fn resp_header_decoded(payload: &[u8], pos: usize) -> Result<(usize, usize), &'static str> {
     let lf = payload[pos..]
         .iter()
         .position(|&b| b == b'\n')
@@ -657,8 +730,7 @@ fn resp_header_decoded(payload: &Bytes, pos: usize) -> Result<(usize, usize), &'
     if lf < 2 || payload[pos + lf - 1] != b'\r' {
         return Err(RESP_ERR_PROTO);
     }
-    let digits = payload.slice(pos + 1..pos + lf - 1);
-    let n = parse_ascii_usize(&digits).ok_or(RESP_ERR_PROTO)?;
+    let n = parse_ascii_usize(&payload[pos + 1..pos + lf - 1]).ok_or(RESP_ERR_PROTO)?;
     Ok((n, pos + lf + 1))
 }
 
@@ -679,18 +751,21 @@ pub fn request_query_estimate(kind: ProtocolKind, payload: &Bytes) -> usize {
 pub fn encode_reply_into(buf: &mut BytesMut, meta: &RequestMeta, rs: &[Response]) {
     match meta {
         RequestMeta::Dido | RequestMeta::DidoBad => encode_responses_wire_into(buf, rs),
-        RequestMeta::McGet { keys, with_cas } => {
-            for (key, r) in keys.iter().zip(rs) {
+        RequestMeta::McGet { line, with_cas } => {
+            let mut keys = TokenIter::new(line, 0, line.len());
+            keys.next(); // the command
+            for (key, r) in keys.zip(rs) {
                 if r.status == ResponseStatus::Ok {
                     buf.extend_from_slice(b"VALUE ");
-                    buf.extend_from_slice(key);
+                    buf.extend_from_slice(&line[key]);
                     // Client flags are stored with the object but not
                     // yet read back on GET; echoed as 0 (CAS likewise).
+                    buf.extend_from_slice(b" 0 ");
+                    put_decimal(buf, r.value.len());
                     if *with_cas {
-                        buf.extend_from_slice(format!(" 0 {} 0\r\n", r.value.len()).as_bytes());
-                    } else {
-                        buf.extend_from_slice(format!(" 0 {}\r\n", r.value.len()).as_bytes());
+                        buf.extend_from_slice(b" 0");
                     }
+                    buf.extend_from_slice(b"\r\n");
                     buf.extend_from_slice(&r.value);
                     buf.extend_from_slice(b"\r\n");
                 }
@@ -732,10 +807,14 @@ pub fn encode_reply_into(buf: &mut BytesMut, meta: &RequestMeta, rs: &[Response]
         }
         RequestMeta::RespDel => {
             let removed = rs.iter().filter(|r| r.status == ResponseStatus::Ok).count();
-            buf.extend_from_slice(format!(":{removed}\r\n").as_bytes());
+            buf.extend_from_slice(b":");
+            put_decimal(buf, removed);
+            buf.extend_from_slice(b"\r\n");
         }
         RequestMeta::RespMGet => {
-            buf.extend_from_slice(format!("*{}\r\n", rs.len()).as_bytes());
+            buf.extend_from_slice(b"*");
+            put_decimal(buf, rs.len());
+            buf.extend_from_slice(b"\r\n");
             for r in rs {
                 if r.status == ResponseStatus::Ok {
                     put_resp_bulk(buf, &r.value);
@@ -751,9 +830,27 @@ pub fn encode_reply_into(buf: &mut BytesMut, meta: &RequestMeta, rs: &[Response]
 }
 
 fn put_resp_bulk(buf: &mut BytesMut, value: &[u8]) {
-    buf.extend_from_slice(format!("${}\r\n", value.len()).as_bytes());
+    buf.extend_from_slice(b"$");
+    put_decimal(buf, value.len());
+    buf.extend_from_slice(b"\r\n");
     buf.extend_from_slice(value);
     buf.extend_from_slice(b"\r\n");
+}
+
+/// Append `n` in decimal: the allocation-free stand-in for `format!` in
+/// reply headers.
+fn put_decimal(buf: &mut BytesMut, mut n: usize) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[i..]);
 }
 
 /// Serialize the "server overloaded, request dropped" reply a reactor
@@ -856,11 +953,11 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], Query::get("alpha"));
         assert_eq!(out[1], Query::get("beta"));
-        let RequestMeta::McGet { keys, with_cas } = meta else {
+        let RequestMeta::McGet { line, with_cas } = meta else {
             panic!("get meta");
         };
         assert!(!with_cas);
-        assert_eq!(keys, vec![Bytes::from_static(b"alpha"), Bytes::from_static(b"beta")]);
+        assert_eq!(line, Bytes::from_static(b"get alpha beta"));
 
         let payload = Bytes::from_static(b"set k 7 30 5\r\nhello\r\n");
         out.clear();
@@ -919,7 +1016,7 @@ mod tests {
     #[test]
     fn memcached_encode_values_and_end() {
         let meta = RequestMeta::McGet {
-            keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
+            line: Bytes::from_static(b"get a b"),
             with_cas: false,
         };
         let rs = [Response::hit("hello"), Response::not_found()];
@@ -928,7 +1025,7 @@ mod tests {
         assert_eq!(&buf[..], b"VALUE a 0 5\r\nhello\r\nEND\r\n" as &[u8]);
 
         let meta = RequestMeta::McGet {
-            keys: vec![Bytes::from_static(b"a")],
+            line: Bytes::from_static(b"gets a"),
             with_cas: true,
         };
         let mut buf = BytesMut::new();

@@ -49,7 +49,7 @@ pub mod sync;
 pub mod tasks;
 mod threaded;
 
-pub use batch::{Batch, QueryState, StagingArena, StealTags, TAG_FREE};
+pub use batch::{Batch, QueryState, StagingArena};
 pub use cache::LruFilter;
 pub use engine::{EngineConfig, IntegrityReport, KvEngine, OpCounts};
 pub use setup::{preloaded_engine, TestbedOptions};

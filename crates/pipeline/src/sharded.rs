@@ -613,6 +613,7 @@ impl ShardedEngine {
             acc.expired_proactive += s.expired_proactive;
             acc.segments_reclaimed += s.segments_reclaimed;
             acc.sealed_segments += s.sealed_segments;
+            acc.segment_members += s.segment_members;
         };
         for e in &sets.primary.engines {
             fold(&mut total, e);

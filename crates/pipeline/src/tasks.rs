@@ -485,7 +485,7 @@ pub fn run_kc<A: Account>(acct: &mut A, engine: &KvEngine, batch: &mut Batch, ra
     let mut expired_hits: Vec<(usize, u64)> = Vec::new();
     for wf in wavefronts(range) {
         // Record the snapshot for RD's post-copy recheck (one slot per
-        // wavefront — steal-tag granularity — instead of per query).
+        // wavefront — the steal granularity — instead of per query).
         batch.wf_gens[wf.start / PROBE_WAVEFRONT] = gen;
         // Prefetch pass: pull every candidate object header of the
         // wavefront toward the cache before any key comparison runs, so

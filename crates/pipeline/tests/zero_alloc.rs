@@ -71,9 +71,11 @@ fn serve_pass_does_not_allocate_per_query() {
 
     // Batch-level overhead only: the old per-query path needed ≥ 2n
     // allocations here; the serve pass must stay far under one per
-    // query.
+    // query. (14 measured for n = 512: the state vectors, the staging
+    // buffer's growth doublings, the freeze's refcount box and the
+    // response vector.)
     assert!(
-        allocs <= (n as u64) / 8,
+        allocs <= (n as u64) / 32,
         "the serve pass over {n} GETs performed {allocs} allocations — \
          the hot path is allocating per query again"
     );
